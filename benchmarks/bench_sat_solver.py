@@ -186,116 +186,6 @@ def wl_synthesize_sat(quick: bool) -> tuple[Counters, object]:
     return counters, f"bound={bound}: {result.count} ELTs"
 
 
-def _has_solver_cores() -> bool:
-    # True on trees where the solver grew selectable storage cores.
-    try:
-        from repro.sat import create_solver  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def wl_core_lockstep_php(quick: bool) -> tuple[Counters, object]:
-    """Pigeonhole on every runnable storage core (the C-accelerated core
-    joins automatically when its extension is built): the cores must
-    produce *equal* counters (lockstep contract), so the gate covers all
-    of them; the note records the per-core wall times."""
-    if not _has_solver_cores():
-        return {}, "skipped (no solver cores on this tree)"
-    from dataclasses import asdict
-
-    from repro.sat import create_solver
-
-    try:
-        from repro.sat import SOLVER_CORES as cores
-    except ImportError:  # pre-accel tree
-        cores = ("object", "array")
-
-    holes = 6 if quick else 7
-    walls = {}
-    stats_by_core = {}
-    for core in cores:
-        cnf = pigeonhole(holes)
-        solver = create_solver(cnf, core=core)
-        started = time.perf_counter()
-        result = solver.solve()
-        walls[core] = time.perf_counter() - started
-        assert not result.satisfiable
-        stats_by_core[core] = asdict(solver.stats)
-    for core in cores:
-        assert stats_by_core[core] == stats_by_core["array"], (
-            f"storage core {core} diverged on php"
-        )
-    counters: Counters = {
-        key: stats_by_core["array"][key]
-        for key in ("decisions", "propagations", "conflicts", "learned_clauses")
-    }
-    timings = ", ".join(f"{core} {walls[core]:.3f}s" for core in cores)
-    return counters, f"php({holes}): {timings}, counters equal"
-
-
-def _session_queries(core: str, inprocess: bool, quick: bool) -> tuple[Counters, str]:
-    """A long-lived solver answering many assumption queries over one hard
-    (satisfiable) 3-SAT instance — the ProblemSession shape, where query
-    boundaries give inprocessing its chances to fire once enough conflicts
-    and learned clauses have accumulated."""
-    from repro.sat import create_solver
-
-    num_vars = 100
-    cnf = random_3sat(num_vars, int(num_vars * 4.2), seed=6)
-    solver = create_solver(cnf, core=core, inprocess=inprocess)
-    assert solver.solve().satisfiable
-    queries = 150 if quick else 300
-    sat_count = 0
-    for q in range(queries):
-        a = (q * 7) % num_vars + 1
-        b = (q * 13) % num_vars + 1
-        assumptions = [a if q % 2 else -a]
-        if b != a:
-            assumptions.append(b if q % 3 else -b)
-        if solver.solve(assumptions=assumptions).satisfiable:
-            sat_count += 1
-    counters: Counters = {}
-    _merge_stats(counters, solver.stats)
-    note = (
-        f"{sat_count}/{queries} sat, {solver.stats.conflicts} conflicts, "
-        f"{solver.stats.inprocessings} passes "
-        f"({solver.stats.subsumed_clauses} subsumed, "
-        f"{solver.stats.strengthened_clauses} strengthened, "
-        f"{solver.stats.vivified_clauses} vivified)"
-    )
-    return counters, note
-
-
-def wl_session_inprocess_off(quick: bool) -> tuple[Counters, object]:
-    if not _has_solver_cores():
-        return {}, "skipped (no solver cores on this tree)"
-    return _session_queries("array", False, quick)
-
-
-def wl_session_inprocess_on(quick: bool) -> tuple[Counters, object]:
-    if not _has_solver_cores():
-        return {}, "skipped (no solver cores on this tree)"
-    return _session_queries("array", True, quick)
-
-
-def wl_allsat_inprocess_on(quick: bool) -> tuple[Counters, object]:
-    """The allsat_blocking_loop workload under the pipeline-default
-    configuration (array core, inprocessing enabled) for comparison."""
-    if not _has_solver_cores() or not _has_stats_hook():
-        return {}, "skipped (no solver cores on this tree)"
-    from repro.sat import SolverStats, solver_preferences
-
-    cnf = random_3sat(20, 46, seed=3) if quick else random_3sat(24, 55, seed=3)
-    counters: Counters = {}
-    stats = SolverStats()
-    with solver_preferences(core="array", inprocess=True):
-        count = sum(1 for _ in iter_models(cnf, stats=stats))
-    _merge_stats(counters, stats)
-    return counters, f"{count} models, {stats.inprocessings} passes"
-
-
 def wl_synthesize_explicit(quick: bool) -> tuple[Counters, object]:
     """The default explicit-enumerator synthesize run, for context (not a
     SAT workload; excluded from the speedup aggregate)."""
@@ -316,29 +206,12 @@ WORKLOADS: list[tuple[str, Callable[[bool], tuple[Counters, object]], bool]] = [
     ("relational_total_orders", wl_relational_orders, True),
     ("synthesize_serial_sat_backend", wl_synthesize_sat, True),
     ("synthesize_serial_explicit", wl_synthesize_explicit, False),
-    # Solver-core / inprocessing scenarios (gated against
-    # benchmarks/baseline_inprocessing_quick.json in CI).
-    ("solver_core_lockstep_php", wl_core_lockstep_php, True),
-    ("session_queries_inprocess_off", wl_session_inprocess_off, True),
-    ("session_queries_inprocess_on", wl_session_inprocess_on, True),
-    ("allsat_blocking_inprocess_on", wl_allsat_inprocess_on, True),
 ]
 
 
 # ----------------------------------------------------------------------
 # Harness
 # ----------------------------------------------------------------------
-def _solver_meta() -> dict:
-    """Which propagation backend produced this run — stamped into the
-    JSON so baselines are attributable to the core that made them."""
-    try:
-        from repro.sat import accel_status
-
-        return accel_status()
-    except ImportError:  # pre-accel tree
-        return {"available": False}
-
-
 def run_suite(quick: bool) -> dict:
     results: dict = {}
     for name, fn, gated in WORKLOADS:
@@ -442,7 +315,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             "mode": "quick" if args.quick else "full",
             "python": platform.python_version(),
             "platform": platform.platform(),
-            "solver": _solver_meta(),
         },
         "workloads": results,
     }

@@ -4,27 +4,8 @@ The project is fully described by pyproject.toml; this file exists so that
 ``pip install -e . --no-build-isolation`` (or ``python setup.py develop``)
 works in offline environments that lack the ``wheel`` package required for
 PEP 660 editable installs.
-
-Set ``REPRO_BUILD_ACCEL=1`` to also compile the optional
-``repro.sat._accel`` C extension during the install.  It is opt-in (and
-marked ``optional``, so a missing compiler never fails the install)
-because the pure-Python solver cores are the reference implementation —
-the extension only accelerates them.  After an install without it, build
-in place with ``python -m repro.sat.build_accel``.
 """
 
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-ext_modules = []
-if os.environ.get("REPRO_BUILD_ACCEL"):
-    ext_modules.append(
-        Extension(
-            "repro.sat._accel",
-            sources=["src/repro/sat/_accel.c"],
-            optional=True,
-        )
-    )
-
-setup(ext_modules=ext_modules)
+setup()

@@ -196,8 +196,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         witness_backend=args.witness_backend,
         incremental=not args.fresh_solver,
         symmetry=not args.no_symmetry,
-        solver_core=args.solver_core,
-        inprocessing=not args.no_inprocessing,
     )
     store = _store(args)
     retry, faults = _resilience(args)
@@ -315,8 +313,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     witness_backend=args.witness_backend,
                     incremental=not args.fresh_solver,
                     symmetry=not args.no_symmetry,
-                    solver_core=args.solver_core,
-                    inprocessing=not args.no_inprocessing,
                 ),
                 axioms=sorted(bounds, key=list(X86T_ELT_AXIOM_NAMES).index),
                 min_bound=4,
@@ -338,8 +334,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 witness_backend=args.witness_backend,
                 incremental=not args.fresh_solver,
                 symmetry=not args.no_symmetry,
-                solver_core=args.solver_core,
-                inprocessing=not args.no_inprocessing,
             )
             cache_summary = None
     if cache_summary is not None:
@@ -373,8 +367,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "witness_backend": args.witness_backend,
                 "incremental": not args.fresh_solver,
                 "symmetry": not args.no_symmetry,
-                "solver_core": args.solver_core,
-                "inprocessing": not args.no_inprocessing,
             },
             aggregate,
         )
@@ -450,8 +442,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
             witness_backend=args.witness_backend,
             incremental=not args.fresh_solver,
             symmetry=not args.no_symmetry,
-            solver_core=args.solver_core,
-            inprocessing=not args.no_inprocessing,
         )
         obs = _observation(args)
         retry, faults = _resilience(args)
@@ -518,8 +508,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
             witness_backend=args.witness_backend,
             incremental=not args.fresh_solver,
             symmetry=not args.no_symmetry,
-            solver_core=args.solver_core,
-            inprocessing=not args.no_inprocessing,
         ),
         subject=subject,
     )
@@ -643,8 +631,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         witness_backend=args.witness_backend,
         incremental=not args.fresh_solver,
         symmetry=not args.no_symmetry,
-        solver_core=args.solver_core,
-        inprocessing=not args.no_inprocessing,
     )
     obs = _observation(args)
     retry, faults = _resilience(args)
@@ -760,18 +746,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(manifests, indent=2, sort_keys=True))
         return 0
-    from .sat import accel_status
-
-    status = accel_status()
-    built = (
-        f"built ({status['extension']}, {status['built_at']})"
-        if status["available"]
-        else "not built (python -m repro.sat.build_accel)"
-    )
-    print(
-        f"solver acceleration: {built}; "
-        f"default core: {status['default_core']}"
-    )
     if not manifests:
         print(f"no run manifests under {args.cache_dir}/manifests")
         return 0
@@ -879,24 +853,6 @@ def _add_orchestration_arguments(parser: argparse.ArgumentParser) -> None:
         help="disable symmetry-aware enumeration (witness-orbit pruning, "
         "SAT lex-leader clauses, orbit-level program dedup) — the "
         "differential oracle path; output is byte-identical either way",
-    )
-    parser.add_argument(
-        "--solver-core",
-        choices=("auto", "object", "array", "accel"),
-        default="auto",
-        help="CDCL clause-storage core: 'auto' (default) picks the "
-        "C-accelerated arena core when the repro.sat._accel extension "
-        "is built (python -m repro.sat.build_accel) and the pure-Python "
-        "array core otherwise; all cores run byte-for-byte the same "
-        "search, so 'object' is the differential oracle path and output "
-        "is byte-identical whichever is selected",
-    )
-    parser.add_argument(
-        "--no-inprocessing",
-        action="store_true",
-        help="disable solver inprocessing (learned-clause vivification "
-        "and subsumption at query boundaries) — the differential oracle "
-        "path; output is byte-identical either way",
     )
     parser.add_argument(
         "--profile",

@@ -52,7 +52,6 @@ from ..litmus.format import serialize_elt
 from ..models import Agreement, AxiomTable, MemoryModel
 from ..mtm import Execution, Program
 from ..obs import current_registry, current_tracer
-from ..sat import solver_preferences
 from ..synth import SuiteStats, SynthesisConfig
 from ..symmetry import execution_key_via, program_symmetry, witness_sort_key
 from ..synth.canon import (
@@ -362,12 +361,8 @@ def run_multi_diff_pipeline(
     generated = clock()
     # Publish the deadline on the cooperative channel so a stuck SAT
     # query inside one witness step can be interrupted mid-solve
-    # (repro.resilience.deadline), and scope the solver knobs so every
-    # solver built behind the shared witness stream picks up the
-    # configured core and inprocessing setting.
-    with deadline_scope(deadline), solver_preferences(
-        core=base.solver_core, inprocess=base.inprocessing
-    ):
+    # (repro.resilience.deadline).
+    with deadline_scope(deadline):
         for order_key, program in ordered_programs:
             generate_s += clock() - generated
             if deadline is not None and time.monotonic() > deadline:

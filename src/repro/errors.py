@@ -42,15 +42,6 @@ class SynthesisError(ReproError):
     """Errors in synthesis configuration (bad bound, unknown axiom name)."""
 
 
-class AccelUnavailableError(ReproError):
-    """The ``accel`` solver core was requested but the native extension
-    (:mod:`repro.sat._accel`) is not built in this environment.
-
-    The message carries the build hint (``python -m repro.sat.build_accel``);
-    the pure-Python ``array`` and ``object`` cores are always available.
-    """
-
-
 class SolverInterrupted(ReproError):
     """A SAT query was cut short by a cooperative deadline.
 

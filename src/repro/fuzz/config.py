@@ -5,7 +5,7 @@
 Fields that change *what* the run finds participate in the store
 identity (:func:`fuzz_identity`); the execution-strategy knobs the rest
 of the pipeline treats as output-invariant (``witness_backend``'s
-session/symmetry/core companions) are excluded exactly like
+session/symmetry companions) are excluded exactly like
 :func:`repro.orchestrate.store.config_identity` excludes them.
 
 :class:`FuzzStats` is the run's deterministic counter block.  Counters
@@ -63,8 +63,6 @@ class FuzzConfig:
     witness_backend: str = "explicit"
     incremental: bool = True
     symmetry: bool = True
-    solver_core: str = "auto"
-    inprocessing: bool = True
 
     def base_synthesis_config(self) -> SynthesisConfig:
         """The enumeration-shaping config the oracle's witness stream and
@@ -77,8 +75,6 @@ class FuzzConfig:
             witness_backend=self.witness_backend,
             incremental=self.incremental,
             symmetry=self.symmetry,
-            solver_core=self.solver_core,
-            inprocessing=self.inprocessing,
         )
 
 

@@ -32,7 +32,6 @@ from ..mtm import Execution, Program
 from ..obs import MetricsRegistry, SpanBatch, current_registry
 from ..orchestrate.shards import ShardSpec
 from ..resilience import FaultPlan, deadline_scope
-from ..sat import solver_preferences
 from ..conformance.worker import _observed
 from .config import FuzzConfig, FuzzStats
 from .coverage import PROFILE_KWARGS, class_digest
@@ -183,12 +182,8 @@ def run_fuzz_shard(task: FuzzShardTask) -> FuzzShardResult:
         try:
             # Publish the deadline on the cooperative channel so a stuck
             # SAT query inside one witness step can be interrupted
-            # mid-solve, and scope the solver knobs for every solver the
-            # oracle's witness stream builds.
-            with deadline_scope(deadline), solver_preferences(
-                core=task.config.solver_core,
-                inprocess=task.config.inprocessing,
-            ):
+            # mid-solve.
+            with deadline_scope(deadline):
                 for index in range(len(task.allocation)):
                     if index % spec.skeleton_count != spec.skeleton_index:
                         continue

@@ -88,12 +88,6 @@ def build_manifest(
     }
     if informational:
         manifest["informational"] = informational
-    # Which propagation backend produced this run (the accel extension
-    # when built, pure Python otherwise).  Environment-shaped like
-    # "timing", so it lives beside — never inside — "counters".
-    from ..sat import accel_status  # local import: sat imports obs
-
-    manifest["solver"] = accel_status()
     if extra:
         manifest.update(extra)
     return manifest

@@ -100,13 +100,12 @@ def config_identity(config: SynthesisConfig) -> dict[str, Any]:
     for name, value in asdict(config).items():
         if name == "model":
             continue
-        if name in ("incremental", "symmetry", "solver_core", "inprocessing"):
+        if name in ("incremental", "symmetry"):
             # Output-invariant execution strategies (like --jobs): the
             # incremental-session path is contractually byte-identical
-            # to the fresh-solver path, the symmetry-pruned path to the
-            # --no-symmetry oracle, and the array solver core and
-            # inprocessing passes to the plain object-core search, so
-            # each variant shares cache entries.
+            # to the fresh-solver path and the symmetry-pruned path to
+            # the --no-symmetry oracle, so each variant shares cache
+            # entries.
             continue
         identity[name] = value
     return identity

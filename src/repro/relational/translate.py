@@ -28,7 +28,7 @@ import math
 from typing import Iterable, Iterator, Optional
 
 from ..errors import RelationalError
-from ..sat import CdclSolver, Cnf, SolverStats, create_solver
+from ..sat import CdclSolver, Cnf, SolverStats
 from . import ast
 from .boolean import (
     FALSE,
@@ -260,7 +260,7 @@ class Problem:
         if limit is not None and limit <= 0:
             return
         compiled = _Compilation(self, groups=tuple(groups))
-        solver = create_solver(compiled.cnf)
+        solver = CdclSolver(compiled.cnf)
         solver.stats.symmetry_clauses = compiled.symmetry_clauses
         self.last_solver_stats = solver.stats
         count = 0
@@ -837,7 +837,7 @@ class ProblemSession:
 
     def _ensure_solver(self) -> CdclSolver:
         if self._solver is None:
-            self._solver = create_solver(self._compiled.cnf)
+            self._solver = CdclSolver(self._compiled.cnf)
             self._synced_clauses = self._compiled.cnf.num_clauses
         return self._solver
 
@@ -888,10 +888,6 @@ class ProblemSession:
         UNSAT under a selection leaves the session fully usable."""
         assumptions = self._assumptions(groups)
         solver = self._ensure_solver()
-        # Session query boundary: the solver is idle at level 0 with the
-        # learned state of every earlier query — the scheduled moment for
-        # an inprocessing pass over that database (a no-op unless due).
-        solver.maybe_inprocess()
         self._note_query(solver)
         result = solver.solve(assumptions)
         if not result:
@@ -912,8 +908,6 @@ class ProblemSession:
             return
         assumptions = self._assumptions(groups)
         solver = self._ensure_solver()
-        # Session query boundary (see solve()).
-        solver.maybe_inprocess()
         tag = self._compiled.cnf.new_var()
         self._note_query(solver)
         count = 0
@@ -946,7 +940,7 @@ class ProblemSession:
             self._base_num_vars,
             self._compiled.cnf.clauses[: self._base_num_clauses],
         )
-        solver = create_solver(base)  # type: ignore[arg-type]
+        solver = CdclSolver(base)  # type: ignore[arg-type]
         solver.stats.symmetry_clauses = self._compiled.symmetry_clauses
         self.problem.last_solver_stats = solver.stats
         count = 0

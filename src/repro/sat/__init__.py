@@ -14,41 +14,23 @@ from .enumerate import count_models, iter_models
 from .reference import brute_force_count, brute_force_models, brute_force_satisfiable
 from .solver import (
     MAX_MERGED_STAT_FIELDS,
-    SOLVER_CORES,
-    SOLVER_CORE_NAMES,
-    AccelCdclSolver,
-    ArrayCdclSolver,
-    CdclCore,
+    SOLVER_CORE,
     CdclSolver,
-    ObjectCdclSolver,
     SatResult,
     SolverStats,
     accel_status,
-    create_solver,
-    current_solver_preferences,
-    default_solver_core,
     luby,
     resolve_solver_core,
     solve_cnf,
-    solver_preferences,
 )
 
 __all__ = [
     "Cnf",
     "MAX_MERGED_STAT_FIELDS",
-    "SOLVER_CORES",
-    "SOLVER_CORE_NAMES",
-    "CdclCore",
+    "SOLVER_CORE",
     "CdclSolver",
-    "ObjectCdclSolver",
-    "ArrayCdclSolver",
-    "AccelCdclSolver",
     "accel_status",
-    "default_solver_core",
     "resolve_solver_core",
-    "create_solver",
-    "current_solver_preferences",
-    "solver_preferences",
     "SatResult",
     "SolverStats",
     "luby",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterator, Optional, Sequence
 
 from .cnf import Cnf
-from .solver import SolverStats, create_solver
+from .solver import CdclSolver, SolverStats
 
 
 def iter_models(
@@ -55,7 +55,7 @@ def iter_models(
     """
     if limit is not None and limit <= 0:
         return
-    solver = create_solver(cnf)
+    solver = CdclSolver(cnf)
     if stats is not None:
         # Fold in the work already done while loading the CNF (level-0
         # propagation), then make the caller's object the live counter.

@@ -84,26 +84,6 @@ class SynthesisConfig:
     #: ``incremental``, this is an output-invariant execution strategy
     #: and is excluded from suite-store cache identity.
     symmetry: bool = True
-    #: Clause-storage core of the CDCL solver (:mod:`repro.sat`):
-    #: ``"auto"`` resolves to the fastest core available in this
-    #: environment (the C-accelerated ``"accel"`` core when the
-    #: ``repro.sat._accel`` extension is built, else ``"array"``);
-    #: ``"array"`` is the flat-arena pure-Python core (mypyc-compilable,
-    #: see ``repro.sat.build_compiled``), ``"accel"`` the same arena
-    #: with C inner loops (``repro.sat.build_accel``), ``"object"`` the
-    #: original per-clause-object representation.  All run byte-for-byte
-    #: the same search with identical counters, so suites are
-    #: byte-identical whichever is picked — ``--solver-core object`` is
-    #: the differential oracle, exactly like ``--fresh-solver`` and
-    #: ``--no-symmetry``.  Excluded from suite-store cache identity.
-    solver_core: str = "auto"
-    #: Solver inprocessing (:mod:`repro.sat.inprocess`): vivification and
-    #: subsumption passes over the learned-clause database at query
-    #: boundaries of long-lived solvers.  Model-set preserving, so
-    #: suites are byte-identical on or off — ``--no-inprocessing``
-    #: (False) is the differential oracle.  Excluded from suite-store
-    #: cache identity.
-    inprocessing: bool = True
 
     def __post_init__(self) -> None:
         if self.bound < 1:
@@ -113,21 +93,6 @@ class SynthesisConfig:
                 f"unknown witness backend: {self.witness_backend!r} "
                 "(expected 'explicit' or 'sat')"
             )
-        if self.solver_core not in ("auto", "object", "array", "accel"):
-            raise SynthesisError(
-                f"unknown solver core: {self.solver_core!r} "
-                "(expected 'auto', 'object', 'array' or 'accel')"
-            )
-        if self.solver_core == "accel":
-            from ..sat import SOLVER_CORES
-            from ..sat.core_accel import BUILD_HINT
-
-            if "accel" not in SOLVER_CORES:
-                raise SynthesisError(
-                    "solver core 'accel' requires the native "
-                    f"repro.sat._accel extension; {BUILD_HINT} or use "
-                    "--solver-core array"
-                )
         if self.max_threads < 1:
             raise SynthesisError("max_threads must be at least 1")
         if self.max_vas < 1:

@@ -51,7 +51,6 @@ from ..models import MemoryModel, x86t_elt
 from ..mtm import Execution, Program
 from ..obs import current_registry, current_tracer
 from ..resilience import deadline_scope
-from ..sat import resolve_solver_core, solver_preferences
 from ..symmetry import (
     execution_key_via,
     program_symmetry,
@@ -149,13 +148,6 @@ class SuiteStats:
     orbit_witnesses_pruned: int = 0
     #: Static lex-leader clauses emitted during relational translation.
     sat_symmetry_clauses: int = 0
-    # Inprocessing counters (``config.inprocessing``,
-    # :mod:`repro.sat.inprocess`): passes run at solver query boundaries
-    # and what they did to the learned databases.
-    sat_inprocessings: int = 0
-    sat_vivified_clauses: int = 0
-    sat_subsumed_clauses: int = 0
-    sat_strengthened_clauses: int = 0
     #: Per-stage wall time (seconds) keyed by stage name — translate /
     #: solve / decode / classify / minimality (plus "enumerate" for
     #: witness backends that don't split production stages).  Summed
@@ -192,10 +184,6 @@ class SuiteStats:
         "orbit_replays",
         "orbit_witnesses_pruned",
         "sat_symmetry_clauses",
-        "sat_inprocessings",
-        "sat_vivified_clauses",
-        "sat_subsumed_clauses",
-        "sat_strengthened_clauses",
         "both_permit",
         "both_forbid",
         "only_reference_forbids",
@@ -225,10 +213,6 @@ class SuiteStats:
         self.sat_incremental_solves += solver_stats.incremental_solves
         self.sat_retained_learned_clauses += solver_stats.retained_learned_clauses
         self.sat_symmetry_clauses += solver_stats.symmetry_clauses
-        self.sat_inprocessings += solver_stats.inprocessings
-        self.sat_vivified_clauses += solver_stats.vivified_clauses
-        self.sat_subsumed_clauses += solver_stats.subsumed_clauses
-        self.sat_strengthened_clauses += solver_stats.strengthened_clauses
 
 
 @dataclass
@@ -375,25 +359,12 @@ def run_pipeline(
         cached_is_minimal if config.incremental else _uncached_is_minimal
     )
 
-    if registry:
-        # Which propagation core serves this run, with "auto" resolved
-        # to the concrete core (informational: the cores are
-        # lockstep-identical, so nothing deterministic varies).
-        registry.inc(
-            f"solver.core.{resolve_solver_core(config.solver_core)}",
-            informational=True,
-        )
-
     generated = clock()
     # Publish the deadline on the cooperative channel so a stuck SAT
     # query inside one witness step can be interrupted mid-solve
     # (repro.resilience.deadline; the solver polls it on a propagation
-    # budget), and scope the solver knobs so every solver built behind
-    # the witness stream — sessions, enumeration, minimality checks —
-    # picks up the configured core and inprocessing setting.
-    with deadline_scope(deadline), solver_preferences(
-        core=config.solver_core, inprocess=config.inprocessing
-    ):
+    # budget).
+    with deadline_scope(deadline):
         for order_key, program in ordered_programs:
             generate_s += clock() - generated
             if deadline is not None and time.monotonic() > deadline:

@@ -62,6 +62,16 @@ class TestSynthesizeCommand:
         assert default_path.read_bytes() == oracle_path.read_bytes()
 
 
+class TestSweepCommand:
+    def test_serial_sweep_renders_fig9(self, capsys) -> None:
+        """Without --jobs/--shards/--cache-dir the sweep runs in-process
+        through fig9_sweep, which must accept every knob the CLI hands it."""
+        assert main(["sweep", "--max-bound", "4", "--axiom", "invlpg"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig 9a" in out
+        assert "Fig 9b" in out
+
+
 class TestCheckCommand:
     def test_forbidden_elt_exits_nonzero(self, tmp_path, capsys) -> None:
         path = tmp_path / "ptwalk2.elt"

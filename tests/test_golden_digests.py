@@ -32,11 +32,11 @@ What the digests encode:
   orbit-level program dedup) and with the ``--no-symmetry`` oracle;
   orbit pruning keeps exactly the witnesses the representative
   tie-break can select, so the bytes cannot depend on it;
-* **solver-core invariance** — every digest is asserted under both
-  ``solver_core="array"`` (the flat-arena propagation core) and
-  ``solver_core="object"`` (the per-clause-object oracle); the two
-  cores run lockstep-identical searches by contract, so the bytes
-  cannot depend on the storage layout.
+* **catalog coverage** — beyond the per-axiom x86t_elt suites, the
+  whole-predicate suites of the other catalog models and one
+  user-level MCM-mode suite (``synthesize --mcm``: ghost-free programs,
+  the SAT backend's heaviest symmetry-breaking path) are pinned on
+  every backend × solver-path × symmetry combination.
 
 When an intentional engine change alters output, regenerate with::
 
@@ -53,9 +53,8 @@ import hashlib
 import pytest
 
 from repro.litmus import suite_from_diff, suite_from_synthesis
-from repro.models import x86t_amd_bug, x86t_elt
+from repro.models import CATALOG, x86t_amd_bug, x86t_elt
 from repro.orchestrate import run_sharded
-from repro.sat import SOLVER_CORES
 from repro.synth import SynthesisConfig, synthesize
 
 #: (target axiom, bound, witness backend) -> sha256 of the suite text.
@@ -108,6 +107,27 @@ GOLDEN_DIFF_SUITE = (
     "2c9e0302228da425574d82f8e0785475e44cd623b62721fab88f943db19a5248"
 )
 
+#: Whole-predicate suites (any axiom may be violated) of the other
+#: catalog models, and one MCM-mode suite: (model, bound, mcm mode, max
+#: threads) -> sha256 of the suite text, one digest for both backends.
+GOLDEN_MODEL_SUITES = {
+    ("sc", 4, False, 2): (
+        "40a0b40244f02817888509424ed557d1ce5a140e5a0400dea726785e8c338992"
+    ),
+    ("x86tso", 4, False, 2): (
+        "533eb94093071f319e86639ecaa5351f3738d1c6634042e90dad38cf897f7dd7"
+    ),
+    ("x86t_amd_bug", 4, False, 2): (
+        "f6926b3b157454234e6827c6562c6e4a56c7967c90bb3b2d96274a825cad626e"
+    ),
+    ("sc_t", 4, False, 2): (
+        "2d4ce70314a2d06e2f62e1a03ac5e7bd2d26b26d525f477bbed23656caff3567"
+    ),
+    ("x86tso", 3, True, 3): (
+        "649324b5ffb15596dcdd8189695fee3d637aafd9c184f4bed49ea79e83d0a211"
+    ),
+}
+
 
 def suite_digest(axiom: str, bound: int, backend: str, **kwargs) -> str:
     config = SynthesisConfig(
@@ -122,34 +142,17 @@ def suite_digest(axiom: str, bound: int, backend: str, **kwargs) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "solver_core",
-    [
-        "object",
-        "array",
-        pytest.param(
-            "accel",
-            marks=pytest.mark.skipif(
-                "accel" not in SOLVER_CORES,
-                reason="repro.sat._accel extension not built",
-            ),
-        ),
-    ],
-)
 @pytest.mark.parametrize("symmetry", [False, True], ids=["no-symmetry", "symmetry"])
 @pytest.mark.parametrize("incremental", [False, True], ids=["fresh", "incremental"])
 @pytest.mark.parametrize(
     "axiom,bound,backend", sorted(GOLDEN_SUITES), ids=lambda v: str(v)
 )
 def test_serial_suite_matches_golden_digest(
-    axiom, bound, backend, incremental, symmetry, solver_core
+    axiom, bound, backend, incremental, symmetry
 ) -> None:
     """Every pinned digest must hold on BOTH solver paths (the
-    incremental-session path and the fresh-solver oracle), on both
-    symmetry paths (orbit-pruned and the --no-symmetry oracle), and on
-    every solver core (the array propagation core, the C-accelerated
-    core when its extension is built, and the object-core oracle —
-    lockstep-identical searches by contract).
+    incremental-session path and the fresh-solver oracle) and on both
+    symmetry paths (orbit-pruned and the --no-symmetry oracle).
     Session reuse across these parametrized cases is exactly the
     production sweep workload, so cache warmth is deliberately not
     reset between them."""
@@ -159,7 +162,6 @@ def test_serial_suite_matches_golden_digest(
         backend,
         incremental=incremental,
         symmetry=symmetry,
-        solver_core=solver_core,
     ) == GOLDEN_SUITES[(axiom, bound, backend)]
 
 
@@ -222,3 +224,26 @@ def test_diff_suite_matches_golden_digest(backend, incremental, symmetry) -> Non
     text = suite_from_diff(cell).dumps()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_DIFF_SUITE
+
+
+@pytest.mark.parametrize("symmetry", [False, True], ids=["no-symmetry", "symmetry"])
+@pytest.mark.parametrize("incremental", [False, True], ids=["fresh", "incremental"])
+@pytest.mark.parametrize("backend", ["explicit", "sat"])
+@pytest.mark.parametrize(
+    "model,bound,mcm,threads", sorted(GOLDEN_MODEL_SUITES), ids=lambda v: str(v)
+)
+def test_catalog_model_suite_matches_golden_digest(
+    model, bound, mcm, threads, backend, incremental, symmetry
+) -> None:
+    config = SynthesisConfig(
+        bound=bound,
+        model=CATALOG[model](),
+        mcm_mode=mcm,
+        max_threads=threads,
+        witness_backend=backend,
+        incremental=incremental,
+        symmetry=symmetry,
+    )
+    text = suite_from_synthesis(synthesize(config), prefix=model).dumps()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_MODEL_SUITES[(model, bound, mcm, threads)]

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import (
-    SOLVER_CORES,
+    CdclSolver,
     Cnf,
     brute_force_count,
     brute_force_models,
     brute_force_satisfiable,
     count_models,
-    create_solver,
     solve_cnf,
 )
 
@@ -54,43 +53,26 @@ def test_model_count_agrees_with_brute_force(cnf: Cnf) -> None:
 
 @given(random_cnf())
 @settings(max_examples=60, deadline=None)
-def test_cores_and_inprocessing_agree_with_brute_force(cnf: Cnf) -> None:
-    """Differential enumeration across the solver-core × inprocessing
-    matrix.
-
-    Every configuration must enumerate exactly the brute-force model
-    set with no duplicates.  The cores (all runnable ones, including
-    the C-accelerated core whenever its extension is built) are
-    lockstep by contract, so for a fixed inprocessing setting they must
-    also produce the same model *order* and the same search counters.
-    Inprocessing is forced aggressive (every conflict makes a pass due)
-    so the passes actually fire at enumeration-burst boundaries on
-    these small formulas.
-    """
+def test_enumeration_is_exact_and_deterministic(cnf: Cnf) -> None:
+    """In-place AllSAT enumerates exactly the brute-force model set with
+    no duplicates, and a second solver over the same formula reproduces
+    the model order and every search counter (suite byte-identity rests
+    on this determinism)."""
     from dataclasses import asdict
 
     expected = {
         tuple(sorted(model.items())) for model in brute_force_models(cnf)
     }
-    for inprocess in (False, True):
-        orders = []
-        stats = []
-        for core in SOLVER_CORES:
-            solver = create_solver(cnf, core=core, inprocess=inprocess)
-            solver._inprocess_min_learned = 1
-            solver._inprocess_interval = 1
-            models = [
-                tuple(sorted(model.items()))
-                for model in solver.iter_solutions()
-            ]
-            assert len(models) == len(set(models))
-            assert set(models) == expected
-            orders.append(models)
-            stats.append(asdict(solver.stats))
-        for core, order in zip(SOLVER_CORES, orders):
-            assert order == orders[0], f"core {core} diverged in model order"
-        for core, stat in zip(SOLVER_CORES, stats):
-            assert stat == stats[0], f"core {core} diverged in search counters"
+    runs = []
+    for _ in range(2):
+        solver = CdclSolver(cnf)
+        models = [
+            tuple(sorted(model.items())) for model in solver.iter_solutions()
+        ]
+        assert len(models) == len(set(models))
+        assert set(models) == expected
+        runs.append((models, asdict(solver.stats)))
+    assert runs[0] == runs[1]
 
 
 @given(random_cnf(), st.lists(st.integers(min_value=1, max_value=MAX_VARS), max_size=3))
@@ -98,8 +80,6 @@ def test_cores_and_inprocessing_agree_with_brute_force(cnf: Cnf) -> None:
 def test_assumptions_agree_with_unit_clauses(cnf: Cnf, assumed_vars) -> None:
     # Solving under assumptions must agree with conjoining unit clauses.
     assumptions = sorted({v for v in assumed_vars})
-    from repro.sat import CdclSolver
-
     solver = CdclSolver(cnf)
     under_assumptions = solver.solve(assumptions=assumptions).satisfiable
 
