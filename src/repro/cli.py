@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Optional, Sequence
 
 from .litmus import format_execution, parse_elt
@@ -446,6 +447,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         obs = _observation(args)
         retry, faults = _resilience(args)
         with obs:
+            started = time.monotonic()
             matrix, records = run_all_pairs(
                 base,
                 models=models,
@@ -455,6 +457,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
                 retry=retry,
                 faults=faults,
             )
+            elapsed = time.monotonic() - started
         for record in records:
             _warn_degraded(record.failures)
         aggregate = None
@@ -464,7 +467,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
             aggregate = SuiteStats()
             for cell in matrix.cells.values():
                 aggregate.absorb(cell.stats)
-                aggregate.runtime_s += cell.stats.runtime_s
+            # Every cell's runtime_s is the whole fused run, so summing
+            # them would count the shared enumeration once per pair.
+            aggregate.runtime_s = elapsed
         if args.json:
             print(json.dumps(matrix.to_json(), indent=2, sort_keys=True))
         else:

@@ -9,15 +9,15 @@ built so far:
   — the single-pair differential pipeline (one candidate enumeration,
   both verdicts, shared axiom evaluation, discriminating-ELT suite);
 * :func:`run_multi_diff_pipeline` — the fused core every sharded path
-  actually runs: one shared program/witness enumeration classified under
-  *every* pair in flight, with per-witness axiom verdicts shared through
-  one :class:`~repro.models.AxiomTable` and, under the SAT backend,
-  one incremental witness session per program
-  (:mod:`repro.synth.sat_backend`) — each program is translated once
-  for all pairs, not once per query.  With ``SynthesisConfig.symmetry``
-  the shared stream additionally arrives orbit-pruned and weighted, and
-  duplicate isomorphic programs replay from the orbit cache
-  (:mod:`repro.symmetry`);
+  actually runs: one query per pair in flight over the synthesis
+  engine's one program/witness loop
+  (:func:`repro.synth.engine.run_queries`), which enumerates — and,
+  under the SAT backend, translates — each program once for all pairs,
+  shares per-witness axiom verdicts through one
+  :class:`~repro.models.AxiomTable`, and owns orbit replay
+  (:mod:`repro.symmetry`), minimality and representative selection.
+  Discriminating ELTs are :class:`~repro.synth.SynthesizedElt`
+  records, exactly like synthesized suites;
 * :class:`ConformanceCell` / :class:`Refinement` — one pair's
   Agreement-bucketed counts and refinement verdict at a bound;
 * :func:`run_diff` — sharded, store-cached execution of one pair;
@@ -31,7 +31,6 @@ from .diff import (
     ConformanceCell,
     DiffConfig,
     DiffOutcome,
-    DiscriminatingElt,
     Refinement,
     diff_models,
     finalize_cell,
@@ -55,7 +54,6 @@ from .runner import (
     run_diff,
 )
 from .worker import (
-    DiffShardElt,
     DiffShardResult,
     DiffShardTask,
     MultiDiffShardTask,
@@ -69,11 +67,9 @@ __all__ = [
     "DiffConfig",
     "DiffOutcome",
     "DiffRunResult",
-    "DiffShardElt",
     "DiffShardResult",
     "DiffShardTask",
     "MultiDiffShardTask",
-    "DiscriminatingElt",
     "Refinement",
     "axiom_subset",
     "catalog_pairs",

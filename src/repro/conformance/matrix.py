@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..litmus.format import serialize_elt
 from ..models import MemoryModel
 from .diff import ConformanceCell, Refinement
 
@@ -131,7 +132,7 @@ def cell_to_json(cell: ConformanceCell) -> dict:
             {
                 "violates": list(elt.violated_axioms),
                 "outcomes": elt.outcome_count,
-                "elt": elt.text,
+                "elt": serialize_elt(elt.execution),
             }
             for elt in cell.elts
         ],

@@ -1,28 +1,25 @@
 """Cross-shard merging of differential results.
 
 The serial-equivalence argument of :mod:`repro.orchestrate.merge`
-carries over verbatim — canonical execution keys determine canonical
-program classes, order keys are assigned before shard filtering — with
-two diff-specific additions:
+carries over verbatim: a diff shard holds the same
+:class:`~repro.orchestrate.worker.ShardElt` entries a synthesis shard
+does, so :func:`~repro.orchestrate.merge.merge_best` picks every class's
+winner — the entry minimizing ``(rep_rank, order)`` — for both.  Diffs
+add two things, both exact under partitioning:
 
 * the (orbit-weighted) Agreement-bucket counters are per-witness counts
   over a *partitioned* program stream, so summing shard counters
   reproduces the serial counts exactly (no cross-shard dedup
   subtleties);
-* each shard entry carries its winner's identity rank and its
-  representative's ``(canonical key, witness sort key)`` minimum (see
-  :mod:`.diff`), so taking the entry minimizing ``(rep_rank, order)``
-  reproduces the serial winner *and* its backend-, symmetry-, and
-  order-invariant representative byte-for-byte.
+* the asymmetric canonical-key sets merge by union.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Tuple
 
-from ..orchestrate.merge import MergeReport
+from ..orchestrate.merge import MergeReport, merge_best
 from ..resilience import FailureRecord
-from ..synth import SuiteStats
 from .diff import ConformanceCell, DiffConfig
 from .worker import DiffShardResult
 
@@ -39,45 +36,20 @@ def merge_diff_shards(
     completed shards still fuse, but the cell is explicitly partial and
     will not be cached.
     """
-    report = MergeReport()
-    stats = SuiteStats()
-    best: dict = {}  # ProgramKey -> DiffShardElt with minimal order
+    shards = list(shard_results)
+    elts, stats, report = merge_best(shards, runtime_s, failures)
     reference_only: set = set()
     subject_only: set = set()
-    for shard in shard_results:
-        report.shard_count += 1
-        report.per_shard.append(shard)
-        stats.absorb(shard.stats)
+    for shard in shards:
         reference_only |= shard.reference_only_keys
         subject_only |= shard.subject_only_keys
-        for shard_elt in shard.elts:
-            report.shard_elts += 1
-            current = best.get(shard_elt.elt.key)
-            if current is None:
-                best[shard_elt.elt.key] = shard_elt
-            else:
-                report.cross_shard_duplicates += 1
-                if (shard_elt.elt.rep_rank, shard_elt.order) < (
-                    current.elt.rep_rank,
-                    current.order,
-                ):
-                    best[shard_elt.elt.key] = shard_elt
-
-    for failure in failures:
-        report.failed_shards.append(failure.label)
-        stats.degraded = True
-
     cell = ConformanceCell(
         reference=diff.reference.name,
         subject=diff.subject.name,
         bound=diff.bound,
+        elts=elts,
         stats=stats,
         reference_only_keys=tuple(sorted(reference_only)),
         subject_only_keys=tuple(sorted(subject_only)),
     )
-    cell.elts = sorted(
-        (shard_elt.elt for shard_elt in best.values()), key=lambda e: e.key
-    )
-    stats.unique_programs = len(cell.elts)
-    stats.runtime_s = runtime_s
     return cell, report

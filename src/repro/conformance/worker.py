@@ -1,12 +1,14 @@
 """Spawn-safe differential shard execution.
 
 The differential analogue of :mod:`repro.orchestrate.worker`: a worker
-process receives a pickled :class:`DiffShardTask` (diff config + shard
-spec + wall-clock deadline), runs the shared single-pass diff pipeline
-over the shard's slice of the program stream, and returns a
-:class:`DiffShardResult` carrying every discriminating ELT with its
-enumeration order key plus the raw bucket counters and asymmetric key
-sets — everything the merge layer needs to reconstruct the serial cell.
+process receives a pickled :class:`DiffShardTask` (one pair) or
+:class:`MultiDiffShardTask` (every pending pair of one shard), runs the
+fused diff pipeline over the shard's slice of the program stream, and
+returns one :class:`DiffShardResult` per pair — a synthesis
+:class:`~repro.orchestrate.worker.ShardResult` (discriminating ELTs with
+their enumeration order keys, raw bucket counters) plus the asymmetric
+key sets: everything the merge layer needs to reconstruct the serial
+cell.
 
 Everything here is a module-level function/dataclass so it pickles under
 the ``spawn`` start method; deadlines travel as wall-clock timestamps
@@ -19,23 +21,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
-from ..obs import (
-    MetricsRegistry,
-    SpanBatch,
-    Tracer,
-    install_registry,
-    install_tracer,
-)
 from ..orchestrate.shards import ShardSpec, shard_programs
+from ..orchestrate.worker import ShardResult, observe_shard, shard_elts
 from ..resilience import FaultPlan
-from ..synth import SuiteStats
-from .diff import (
-    DiffConfig,
-    DiffOutcome,
-    DiscriminatingElt,
-    run_diff_pipeline,
-    run_multi_diff_pipeline,
-)
+from .diff import DiffConfig, run_multi_diff_pipeline
 
 
 @dataclass(frozen=True)
@@ -79,131 +68,40 @@ class MultiDiffShardTask:
 
 
 @dataclass
-class DiffShardElt:
-    """A shard-local discriminating ELT plus the global enumeration order
-    key of the program that produced it."""
+class DiffShardResult(ShardResult):
+    """One pair's shard result: the synthesis shard result plus the
+    canonical keys of both asymmetric buckets."""
 
-    order: tuple
-    elt: DiscriminatingElt
-
-
-@dataclass
-class DiffShardResult:
-    spec: ShardSpec
-    elts: list = field(default_factory=list)
-    stats: SuiteStats = field(default_factory=SuiteStats)
     reference_only_keys: Set[tuple] = field(default_factory=set)
     subject_only_keys: Set[tuple] = field(default_factory=set)
-    runtime_s: float = 0.0
-    #: Worker span batch (``task.observe`` only; stripped before store
-    #: writes — spans describe one concrete run).
-    spans: Optional[SpanBatch] = None
-    #: Worker metrics registry (``task.observe`` only; persisted with the
-    #: shard so cache hits replay deterministic histograms).
-    metrics: Optional[MetricsRegistry] = None
-
-    @property
-    def timed_out(self) -> bool:
-        return self.stats.timed_out
 
 
-def _shard_result_from_outcome(
-    spec: ShardSpec, outcome: DiffOutcome, runtime_s: float
-) -> DiffShardResult:
-    elts = [
-        DiffShardElt(order=outcome.order[key], elt=elt)
-        for key, elt in outcome.by_key.items()
-    ]
-    elts.sort(key=lambda shard_elt: shard_elt.order)
-    result = DiffShardResult(
-        spec=spec,
-        elts=elts,
-        stats=outcome.stats,
-        reference_only_keys=outcome.reference_only_keys,
-        subject_only_keys=outcome.subject_only_keys,
-    )
-    result.stats.unique_programs = len(elts)
-    result.runtime_s = runtime_s
-    result.stats.runtime_s = runtime_s
-    return result
-
-
-def _observed(spec: ShardSpec, observe: bool):
-    """Install a fresh per-shard tracer/registry when observing; returns
-    ``(tracer, registry, restore)`` with ``restore()`` undoing the
-    installation (no-ops when ``observe`` is off)."""
-    if not observe:
-        return None, None, lambda: None
-    tracer = Tracer(label=spec.label)
-    registry = MetricsRegistry()
-    prev_tracer = install_tracer(tracer)
-    prev_registry = install_registry(registry)
-
-    def restore() -> None:
-        install_tracer(prev_tracer)
-        install_registry(prev_registry)
-
-    return tracer, registry, restore
-
-
-def run_diff_shard(task: DiffShardTask) -> DiffShardResult:
-    """Execute one differential shard (in-process or in a worker)."""
+def _run_diffs(task, diffs: tuple) -> list:
+    """Run ``diffs`` over the task's shard in one fused pass; one
+    :class:`DiffShardResult` per diff, in order.  ``runtime_s`` is the
+    pass's wall time split evenly across its pairs (per-pair sums
+    reflect the work actually done once, at the cost of per-pair
+    attribution), and SAT counters follow
+    :func:`~repro.synth.engine.run_queries`' lead-query-translations /
+    rest-avoided convention."""
+    spec = task.spec
     if task.faults is not None:
-        task.faults.apply_worker_fault(task.spec.label, task.attempt)
+        task.faults.apply_worker_fault(spec.label, task.attempt)
     started = time.monotonic()
     deadline = None
     if task.wall_deadline is not None:
         deadline = started + max(0.0, task.wall_deadline - time.time())
-    tracer, registry, restore = _observed(task.spec, task.observe)
-    try:
-        span = tracer.begin("shard", category="orchestrate") if tracer else None
-        try:
-            outcome = run_diff_pipeline(
-                task.diff,
-                shard_programs(task.diff.base, task.spec),
-                deadline=deadline,
-            )
-        finally:
-            if tracer:
-                tracer.end(span)
-    finally:
-        restore()
-    result = _shard_result_from_outcome(
-        task.spec, outcome, time.monotonic() - started
-    )
-    if tracer is not None:
-        result.spans = tracer.batch()
-        result.metrics = registry
-    return result
-
-
-def run_multi_diff_shard(task: MultiDiffShardTask) -> list:
-    """Execute one fused shard: the shard's program slice enumerated once,
-    classified under every pair; returns one :class:`DiffShardResult` per
-    pair, in task order.  Each result carries the elts, keys, and
-    agreement counters its dedicated single-pair shard would have
-    produced; ``runtime_s`` is the fused task's wall time split evenly
-    across its pairs (per-pair sums reflect the work actually done once,
-    at the cost of per-pair attribution), and SAT counters follow
-    :func:`~repro.conformance.diff.run_multi_diff_pipeline`'s
-    lead-pair-translations / rest-avoided convention."""
-    if task.faults is not None:
-        task.faults.apply_worker_fault(task.spec.label, task.attempt)
-    started = time.monotonic()
-    deadline = None
-    if task.wall_deadline is not None:
-        deadline = started + max(0.0, task.wall_deadline - time.time())
-    tracer, registry, restore = _observed(task.spec, task.observe)
+    tracer, registry, restore = observe_shard(spec, task.observe)
     try:
         span = (
-            tracer.begin("shard", category="orchestrate", pairs=len(task.diffs))
+            tracer.begin("shard", category="orchestrate", pairs=len(diffs))
             if tracer
             else None
         )
         try:
             outcomes = run_multi_diff_pipeline(
-                list(task.diffs),
-                shard_programs(task.diffs[0].base, task.spec),
+                list(diffs),
+                shard_programs(diffs[0].base, spec),
                 deadline=deadline,
             )
         finally:
@@ -211,12 +109,36 @@ def run_multi_diff_shard(task: MultiDiffShardTask) -> list:
                 tracer.end(span)
     finally:
         restore()
-    share = (time.monotonic() - started) / max(1, len(outcomes))
-    results = [
-        _shard_result_from_outcome(task.spec, outcome, share)
-        for outcome in outcomes
-    ]
-    if tracer is not None and results:
+    share = (time.monotonic() - started) / len(outcomes)
+    results = []
+    for outcome in outcomes:
+        elts = shard_elts(outcome)
+        outcome.stats.unique_programs = len(elts)
+        outcome.stats.runtime_s = share
+        results.append(
+            DiffShardResult(
+                spec=spec,
+                elts=elts,
+                stats=outcome.stats,
+                runtime_s=share,
+                reference_only_keys=outcome.reference_only_keys,
+                subject_only_keys=outcome.subject_only_keys,
+            )
+        )
+    if tracer is not None:
         results[0].spans = tracer.batch()
         results[0].metrics = registry
     return results
+
+
+def run_diff_shard(task: DiffShardTask) -> DiffShardResult:
+    """Execute one differential shard (in-process or in a worker)."""
+    return _run_diffs(task, (task.diff,))[0]
+
+
+def run_multi_diff_shard(task: MultiDiffShardTask) -> list:
+    """Execute one fused shard: the shard's program slice enumerated once,
+    classified under every pair; returns one :class:`DiffShardResult` per
+    pair, in task order, each carrying the elts, keys, and agreement
+    counters its dedicated single-pair shard would have produced."""
+    return _run_diffs(task, task.diffs)

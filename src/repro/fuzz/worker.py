@@ -31,8 +31,8 @@ from ..errors import SolverInterrupted
 from ..mtm import Execution, Program
 from ..obs import MetricsRegistry, SpanBatch, current_registry
 from ..orchestrate.shards import ShardSpec
+from ..orchestrate.worker import observe_shard
 from ..resilience import FaultPlan, deadline_scope
-from ..conformance.worker import _observed
 from .config import FuzzConfig, FuzzStats
 from .coverage import PROFILE_KWARGS, class_digest
 from .generators import RngChooser, build_program, derive_seed
@@ -169,7 +169,7 @@ def run_fuzz_shard(task: FuzzShardTask) -> FuzzShardResult:
     deadline = None
     if task.wall_deadline is not None:
         deadline = started + max(0.0, task.wall_deadline - time.time())
-    tracer, registry, restore = _observed(task.spec, task.observe)
+    tracer, registry, restore = observe_shard(task.spec, task.observe)
     result = FuzzShardResult(spec=task.spec, round_index=task.round_index)
     oracle = DifferentialOracle(task.config, stats=result.stats)
     spec = task.spec

@@ -66,11 +66,13 @@ class AxiomTable:
     trick: all models' axioms are merged into one slot list keyed by
     (name, predicate), so an axiom shared by k models occupies one slot
     and is evaluated at most once per execution no matter how many model
-    pairs are being classified.  The fused all-pairs conformance pipeline
-    (:func:`repro.conformance.run_multi_diff_pipeline`) builds one table
-    over every reference and subject in flight: classifying a witness
-    under 20 catalog pairs costs one evaluation per *distinct* axiom
-    (typically 6), not one per pair-slot (45).
+    pairs are being classified.  Every pass of the engine's program loop
+    (:func:`repro.synth.engine.run_queries`) reads its verdicts from one
+    table: a synthesis pass's holds one verdict model, and a fused
+    all-pairs conformance pass's spans every reference and subject in
+    flight, so classifying a witness under 20 catalog pairs costs one
+    evaluation per *distinct* axiom (typically 6), not one per
+    pair-slot (45).
     """
 
     def __init__(self, models: Iterable[MemoryModel]) -> None:

@@ -3,10 +3,14 @@
 Why the merged result is *provably* identical to a serial run
 -------------------------------------------------------------
 
-The serial engine deduplicates on two levels: canonical execution keys
-(skip duplicate witnesses) and canonical program keys (one
-:class:`SynthesizedElt` per program class, first program wins, its first
-minimal forbidden witness becomes the representative execution).
+The serial program loop (:func:`repro.synth.engine.run_queries`)
+deduplicates on two levels: canonical execution keys (each distinct
+minimal key counts once) and canonical program keys (one
+:class:`SynthesizedElt` per program class).  Synthesis suites and
+differential cells are both lists of such entries, so
+:func:`merge_best` below is the one best-of-shards merge behind both
+orchestrators (:func:`merge_shards` here,
+:func:`repro.conformance.merge_diff_shards` for diffs).
 
 Both keys are canonical — invariant under thread permutation and VA/PA/
 event-id renaming — so two programs with the same canonical key have
@@ -60,21 +64,19 @@ class MergeReport:
     failed_shards: list[str] = field(default_factory=list)
 
 
-def merge_shards(
-    config: SynthesisConfig,
+def merge_best(
     shard_results: Iterable[ShardResult],
     runtime_s: float = 0.0,
     failures: Iterable[FailureRecord] = (),
-) -> tuple[SuiteResult, MergeReport]:
-    """Fuse shard results into one serial-equivalent :class:`SuiteResult`.
-
-    ``failures`` (quarantined shards from the resilient scheduler) mark
-    the merged suite ``degraded``: every completed shard is still fused,
-    but the artifact is explicitly partial and will not be cached.
-    """
+) -> tuple[list, SuiteStats, MergeReport]:
+    """The best-of-shards merge behind both orchestrators: sum the shard
+    stats, keep per program class the entry minimizing ``(rep_rank,
+    order)``, and mark the stats ``degraded`` for every quarantined
+    shard in ``failures``.  Returns ``(elts sorted by class key, stats,
+    report)``."""
     report = MergeReport()
     stats = SuiteStats()
-    best: dict = {}  # ProgramKey -> ShardElt with minimal order
+    best: dict = {}  # ProgramKey -> ShardElt with minimal (rank, order)
     for shard in shard_results:
         report.shard_count += 1
         report.per_shard.append(shard)
@@ -96,10 +98,27 @@ def merge_shards(
         report.failed_shards.append(failure.label)
         stats.degraded = True
 
-    result = SuiteResult(config.bound, config.target_axiom, stats=stats)
-    result.elts = sorted(
+    elts = sorted(
         (shard_elt.elt for shard_elt in best.values()), key=lambda e: e.key
     )
-    stats.unique_programs = len(result.elts)
+    stats.unique_programs = len(elts)
     stats.runtime_s = runtime_s
+    return elts, stats, report
+
+
+def merge_shards(
+    config: SynthesisConfig,
+    shard_results: Iterable[ShardResult],
+    runtime_s: float = 0.0,
+    failures: Iterable[FailureRecord] = (),
+) -> tuple[SuiteResult, MergeReport]:
+    """Fuse shard results into one serial-equivalent :class:`SuiteResult`.
+
+    ``failures`` (quarantined shards from the resilient scheduler) mark
+    the merged suite ``degraded``: every completed shard is still fused,
+    but the artifact is explicitly partial and will not be cached.
+    """
+    elts, stats, report = merge_best(shard_results, runtime_s, failures)
+    result = SuiteResult(config.bound, config.target_axiom, stats=stats)
+    result.elts = elts
     return result, report

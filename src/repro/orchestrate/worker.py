@@ -37,7 +37,7 @@ from ..obs import (
 )
 from ..resilience import FaultPlan
 from ..synth import SuiteStats, SynthesisConfig, run_pipeline
-from ..synth.engine import OrderKey, SynthesizedElt
+from ..synth.engine import OrderKey, PipelineOutcome, SynthesizedElt
 from .shards import ShardSpec, shard_programs
 
 
@@ -85,6 +85,38 @@ class ShardResult:
         return self.stats.timed_out
 
 
+def observe_shard(spec: ShardSpec, observe: bool):
+    """Install a fresh tracer/registry for one shard when observing.
+
+    A fresh pair per shard — also when running inline under the
+    coordinator's own tracer — so every shard occupies its own lane
+    regardless of ``--jobs``.  Returns ``(tracer, registry, restore)``;
+    ``restore()`` reinstalls the previous pair (all no-ops when
+    ``observe`` is off)."""
+    if not observe:
+        return None, None, lambda: None
+    tracer = Tracer(label=spec.label)
+    registry = MetricsRegistry()
+    prev_tracer = install_tracer(tracer)
+    prev_registry = install_registry(registry)
+
+    def restore() -> None:
+        install_tracer(prev_tracer)
+        install_registry(prev_registry)
+
+    return tracer, registry, restore
+
+
+def shard_elts(outcome: PipelineOutcome) -> list[ShardElt]:
+    """A pass's entries with their order keys, in enumeration order."""
+    elts = [
+        ShardElt(order=outcome.order[key], elt=elt)
+        for key, elt in outcome.by_key.items()
+    ]
+    elts.sort(key=lambda shard_elt: shard_elt.order)
+    return elts
+
+
 def run_shard(task: ShardTask) -> ShardResult:
     """Execute one shard (in-process or in a worker process)."""
     if task.faults is not None:
@@ -93,16 +125,7 @@ def run_shard(task: ShardTask) -> ShardResult:
     deadline = None
     if task.wall_deadline is not None:
         deadline = started + max(0.0, task.wall_deadline - time.time())
-    tracer = registry = None
-    prev_tracer = prev_registry = None
-    if task.observe:
-        # A fresh tracer/registry per shard — also when running inline
-        # under the coordinator's own tracer — so every shard occupies
-        # its own lane regardless of --jobs.
-        tracer = Tracer(label=task.spec.label)
-        registry = MetricsRegistry()
-        prev_tracer = install_tracer(tracer)
-        prev_registry = install_registry(registry)
+    tracer, registry, restore = observe_shard(task.spec, task.observe)
     try:
         span = tracer.begin("shard", category="orchestrate") if tracer else None
         try:
@@ -115,14 +138,8 @@ def run_shard(task: ShardTask) -> ShardResult:
             if tracer:
                 tracer.end(span)
     finally:
-        if task.observe:
-            install_tracer(prev_tracer)
-            install_registry(prev_registry)
-    elts = [
-        ShardElt(order=outcome.order[key], elt=elt)
-        for key, elt in outcome.by_key.items()
-    ]
-    elts.sort(key=lambda shard_elt: shard_elt.order)
+        restore()
+    elts = shard_elts(outcome)
     result = ShardResult(spec=task.spec, elts=elts, stats=outcome.stats)
     result.stats.unique_programs = len(elts)
     result.runtime_s = time.monotonic() - started

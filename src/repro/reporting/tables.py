@@ -78,13 +78,17 @@ def render_symmetry_counters(stats) -> str:
 def render_stage_profile(stats, runtime_s: float) -> str:
     """``--profile`` output: per-stage wall time as a JSON document.
 
-    Stage semantics: ``translate`` / ``solve`` / ``decode`` are the
-    witness-session breakdown of candidate production (recorded when the
-    work actually runs — replays from the session cache add nothing);
-    ``enumerate`` is total time pulling witnesses in the pipeline loop
-    (on the session path it overlaps the breakdown, covering both live
-    production and cached replay); ``classify`` and ``minimality`` are
-    consumption stages.
+    Stage semantics: the stages are disjoint, so a serial run's stages
+    add up to at most ``runtime_s``.  ``generate`` is time pulling
+    programs from the ordered stream; ``translate`` / ``solve`` /
+    ``decode`` are the witness-session breakdown of candidate production
+    (recorded when the work actually runs — replays from the session
+    cache add nothing); ``enumerate`` is the rest of the time pulling
+    witnesses in the program loop (explicit enumeration, orbit pruning,
+    session replays — the session stages are subtracted from it);
+    ``minimality`` is the §IV-B checks and ``classify`` the rest of
+    consuming each witness (axiom verdicts, keys, representative
+    selection).
     The document is rendered as a view over the unified metrics
     registry (:func:`repro.obs.registry_from_suite_stats` is the naming
     authority for the ``stage_s.*`` gauges), so ``--profile``, the run

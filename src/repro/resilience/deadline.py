@@ -1,7 +1,7 @@
 """Cooperative deadline propagation into long-running queries.
 
-``run_pipeline`` already checks its deadline between programs and every
-64 witnesses — but a single stuck SAT query sits *inside* one witness
+The program loop (:func:`repro.synth.engine.run_queries`) already
+checks its deadline between programs and every 64 witnesses — but a single stuck SAT query sits *inside* one witness
 step, where no check runs.  This module is the channel that reaches it:
 the pipeline installs its absolute ``time.monotonic()`` deadline here
 (:func:`deadline_scope`), and :class:`repro.sat.CdclSolver` polls

@@ -23,11 +23,11 @@ home for that machinery, layered bottom-up:
   lex-leader clauses — so the CDCL enumeration never *visits* the
   pruned orbit members in the first place.
 
-The synthesis engine (:func:`repro.synth.run_pipeline`) and the
-differential pipeline (:func:`repro.conformance.run_multi_diff_pipeline`)
-consume all three layers behind ``SynthesisConfig.symmetry`` (default
-on); ``--no-symmetry`` is the differential oracle that runs the same
-pipelines unpruned.  Canonical suite bytes and conformance matrices are
+The engine's one program loop (:func:`repro.synth.engine.run_queries`,
+behind both synthesis and differential conformance) consumes all three
+layers behind ``SynthesisConfig.symmetry`` (default on);
+``--no-symmetry`` is the differential oracle that runs the same loop
+unpruned.  Canonical suite bytes and conformance matrices are
 identical either way — the representative tie-breaks are defined in
 terms of :func:`witness_sort_key`, the same total order the lex-leader
 clauses enforce.

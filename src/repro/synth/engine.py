@@ -1,4 +1,5 @@
-"""The TransForm synthesis engine (paper Fig 7 and §IV).
+"""The TransForm synthesis engine (paper Fig 7 and §IV) and the one
+program/witness loop every enumerated workload runs.
 
 ``synthesize`` runs one per-axiom suite at one instruction bound:
 
@@ -16,38 +17,50 @@
 4. prune to *minimal* executions (every relaxation becomes permitted);
 5. deduplicate into unique ELT programs (canonical forms).
 
+Stages 2-5 are :func:`run_queries`, the only program/witness loop.  It
+consumes an *ordered* program stream — ``(order_key, program)`` pairs,
+so the serial path and the sharded path (:mod:`repro.orchestrate`)
+share it — and classifies every witness under a list of *queries*.  A
+query is a per-witness verdict with its own :class:`SuiteStats`
+counters plus the model its candidates' minimality is checked under;
+every query reads its axiom verdicts from one shared
+:class:`~repro.models.AxiomTable`.  Synthesis is the one-query case
+(:func:`run_pipeline` with a :class:`ForbiddenQuery`); differential
+conformance (:mod:`repro.conformance`) runs one query per (reference,
+subject) pair over the same enumeration.  The loop owns what the
+queries share: deadline polls, program spans, symmetry analysis and
+orbit-cache replay, lazy keys and ranks, the per-pass minimality memo,
+representative selection, SAT-counter crediting and stage timing.
+
 With ``config.symmetry`` (default on), :mod:`repro.symmetry` quotients
 the work first: each program's automorphism group prunes its witness
 stream to one representative per isomorphism orbit (in-solver, via
 lex-leader clauses, on the SAT backend), orbit-size weights keep the
 witness-level counters equal to the unpruned enumeration's, and
 duplicate isomorphic programs are skipped before translation.  The
-``--no-symmetry`` oracle runs the same pipeline unpruned and must
-produce byte-identical suites.
+``--no-symmetry`` oracle runs the same loop unpruned and must produce
+byte-identical suites.
+
+Representative selection is order-free: per class the program with the
+smallest identity rank wins, and its representative execution is its
+(canonical key, witness sort key)-minimal minimal candidate — so suite
+bytes are invariant across ``--jobs``, witness backends,
+``--fresh-solver``, and ``--no-symmetry``.  Order keys remain on each
+entry for reporting and deterministic merges.
 
 ``synthesize_sweep`` reproduces the paper's Fig 9 methodology: for each
 axiom, sweep increasing bounds under a time budget (theirs: one week per
 run on a server; ours: configurable seconds).
-
-The Fig 7 inner loop lives in :func:`run_pipeline`, which consumes an
-*ordered* program stream — ``(order_key, program)`` pairs — so that the
-serial path and the sharded path (:mod:`repro.orchestrate`) share one
-implementation.  Representative selection is order-free: per class the
-program with the smallest identity rank wins, and its representative
-execution is its (canonical key, witness sort key)-minimal minimal
-witness — so suite bytes are invariant across ``--jobs``, witness
-backends, ``--fresh-solver``, and ``--no-symmetry``.  Order keys remain
-on each entry for reporting and deterministic merges.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from ..errors import SolverInterrupted
-from ..models import MemoryModel, x86t_elt
+from ..models import AxiomTable, MemoryModel, x86t_elt
 from ..mtm import Execution, Program
 from ..obs import current_registry, current_tracer
 from ..resilience import deadline_scope
@@ -64,7 +77,7 @@ from .canon import (
     identity_program_key,
 )
 from .config import SynthesisConfig
-from .relax import cached_is_minimal, is_minimal
+from .relax import cached_is_minimal, is_minimal, model_fingerprint
 from .skeletons import enumerate_programs
 from .witnesses import enumerate_witnesses
 
@@ -148,10 +161,10 @@ class SuiteStats:
     orbit_witnesses_pruned: int = 0
     #: Static lex-leader clauses emitted during relational translation.
     sat_symmetry_clauses: int = 0
-    #: Per-stage wall time (seconds) keyed by stage name — translate /
-    #: solve / decode / classify / minimality (plus "enumerate" for
-    #: witness backends that don't split production stages).  Summed
-    #: key-wise across shards; surfaced by ``--profile``.
+    #: Per-stage wall time (seconds) keyed by stage name — generate /
+    #: enumerate / translate / solve / decode / classify / minimality,
+    #: disjoint (see :func:`repro.reporting.render_stage_profile`).
+    #: Summed key-wise across shards; surfaced by ``--profile``.
     stage_times: dict = field(default_factory=dict)
     # Per-pair verdict counters, populated by differential conformance
     # runs (:mod:`repro.conformance`): how many enumerated candidate
@@ -234,9 +247,10 @@ class SuiteResult:
 
 @dataclass
 class PipelineOutcome:
-    """Raw product of one :func:`run_pipeline` pass: deduplicated ELTs
-    keyed by canonical form, plus the enumeration-order key of the
-    representative program behind each entry (for cross-shard merging)."""
+    """Raw product of one query over one :func:`run_queries` pass:
+    deduplicated ELTs keyed by canonical form, plus the enumeration-order
+    key of the representative program behind each entry (for cross-shard
+    merging)."""
 
     by_key: dict = field(default_factory=dict)
     order: dict = field(default_factory=dict)
@@ -257,9 +271,8 @@ def witness_stream_factory(config: SynthesisConfig, stage_times=None):
     accumulates into across every program (``None`` for the explicit
     backend — fold it into a :class:`SuiteStats` via
     :meth:`SuiteStats.absorb_solver` when the run finishes).  Shared by
-    the synthesis pipeline and the differential conformance pipeline
-    (:mod:`repro.conformance`), so both workloads enumerate candidates
-    identically.
+    :func:`run_queries` and the fuzz oracle (:mod:`repro.fuzz.oracle`),
+    so every workload enumerates candidates identically.
 
     With ``config.incremental`` (the default), the SAT backend routes
     through the process-level :class:`~repro.synth.sat_backend.
@@ -267,8 +280,7 @@ def witness_stream_factory(config: SynthesisConfig, stage_times=None):
     session whose (byte-identical) weighted execution list is replayed
     for every later suite or pair that reaches the same program.
     ``stage_times``, when given a dict, receives per-stage wall time
-    (translate / solve / decode on the session path; one "enumerate"
-    bucket otherwise).
+    (translate / solve / decode on the session path).
     """
     if config.witness_backend == "sat":
         from ..sat import SolverStats
@@ -311,53 +323,113 @@ def witness_stream_factory(config: SynthesisConfig, stage_times=None):
     return explicit_stream, None
 
 
-def run_pipeline(
+class ForbiddenQuery:
+    """The synthesis query: a witness is a candidate when the verdict
+    model at ``index`` of the pass's :class:`~repro.models.AxiomTable` —
+    the target axiom alone, or the whole model when untargeted — forbids
+    it.  Minimality and the representative's violated axioms are judged
+    under ``model`` (``config.model``)."""
+
+    def __init__(self, model: MemoryModel, index: int) -> None:
+        self.model = model
+        self.index = index
+        self.outcome = PipelineOutcome()
+
+    def observe(self, permits, weight: int, execution_key_of) -> bool:
+        if permits(self.index):
+            return False
+        self.outcome.stats.interesting += weight
+        return True
+
+
+#: The counters a query's ``observe`` moves: an orbit replay re-credits
+#: each query's deltas of these without enumerating.
+_OBSERVED = (
+    "interesting",
+    "both_permit",
+    "both_forbid",
+    "only_reference_forbids",
+    "only_subject_forbids",
+)
+
+#: Stages the witness session records while the loop is pulling
+#: witnesses; ``enumerate`` excludes them so the stages add up.
+_SESSION_STAGES = ("translate", "solve", "decode")
+
+
+def run_queries(
     config: SynthesisConfig,
     ordered_programs: Iterable[tuple[OrderKey, Program]],
+    table: AxiomTable,
+    queries: Sequence,
     deadline: Optional[float] = None,
-) -> PipelineOutcome:
-    """Stages 2-5 of Fig 7 over an arbitrary ordered program stream.
+) -> list:
+    """Stages 2-5 of Fig 7 over an ordered program stream, for every
+    query at once; returns each query's :class:`PipelineOutcome`.
+
+    Every program is enumerated (and, under the SAT backend, translated)
+    once for all queries, and each witness's axiom verdicts are shared
+    through ``table.evaluator``.  A query provides ``model``,
+    ``outcome`` and ``observe(permits, weight, execution_key_of)``,
+    called once per witness: it counts the witness into its own
+    counters and returns True when the witness is a *candidate* (for
+    synthesis, forbidden; see :class:`ForbiddenQuery`).  ``permits``
+    is the table's per-witness evaluator and ``execution_key_of()`` the
+    lazily computed canonical key.  The loop does the rest, identically
+    for every query: candidates are checked for §IV-B minimality under
+    ``query.model`` — once per (model, canonical key) per pass, through
+    :func:`~repro.synth.relax.cached_is_minimal` when
+    ``config.incremental`` is on — each distinct minimal key counts once
+    in ``stats.minimal``, and each program's smallest ``(canonical key,
+    witness sort key)`` minimal candidate competes for its class entry
+    (:func:`_fold`).
 
     With ``config.symmetry``, each program's witness stream arrives
     orbit-pruned and weighted (see :func:`witness_stream_factory`), and
     duplicate isomorphic programs are skipped before translation: the
     orbit cache remembers, per canonical class, the identity rank of the
     member that already did the work this pass plus its weighted witness
-    totals, so a later member with a larger rank only replays those
-    totals.  A later member with a *smaller* rank still runs in full —
-    it must supply the class representative — so suite bytes never
-    depend on arrival order.
+    count and every query's counter deltas, so a later member with a
+    larger rank only replays those.  A later member with a *smaller*
+    rank still runs in full — it must supply the class representative —
+    so output never depends on arrival order.
 
-    ``deadline`` is an absolute ``time.monotonic()`` timestamp; exceeding
-    it sets ``stats.timed_out`` and stops cleanly with partial results.
+    SAT counters are the shared enumeration's: the first query is
+    credited with the translations actually run, every other query
+    records them as *avoided*, so summing outcomes reflects the work
+    done once.  Stage times land on the first query's stats.
+    ``deadline`` is an absolute ``time.monotonic()`` timestamp spanning
+    the whole pass; exceeding it marks every outcome ``timed_out`` and
+    stops cleanly with partial results.
     """
-    model = config.model
-    target = (
-        model.axiom(config.target_axiom)
-        if config.target_axiom is not None
-        else None
-    )
-    outcome = PipelineOutcome()
-    stats = outcome.stats
-    by_key = outcome.by_key
-    #: canonical execution key -> minimality verdict (doubles as the
-    #: seen-set: a key is present iff its first witness was classified).
-    minimal_by_key: dict = {}
-    #: canonical program key -> (identity rank, weighted executions,
-    #: weighted interesting) of the class member that ran in full.
-    orbit_cache: dict = {}
-    use_symmetry = config.symmetry
-    clock = time.perf_counter
-    enumerate_s = classify_s = minimality_s = generate_s = 0.0
-    tracer = current_tracer()
-    registry = current_registry()
-
+    outcomes = [query.outcome for query in queries]
+    lead = outcomes[0].stats
+    stage_times = lead.stage_times
     witness_stream, sat_stats = witness_stream_factory(
-        config, stage_times=stats.stage_times
+        config, stage_times=stage_times
     )
     check_minimal = (
         cached_is_minimal if config.incremental else _uncached_is_minimal
     )
+    #: Per query: (query, minimality memo shared by every query judged
+    #: under the same model, minimal keys already credited).
+    plans = []
+    memos: dict = {}
+    for query in queries:
+        memo = memos.setdefault(model_fingerprint(query.model), {})
+        plans.append((query, memo, set()))
+    #: canonical program key -> (identity rank, weighted executions,
+    #: per-query deltas of the _OBSERVED counters) of the class member
+    #: that ran in full.
+    orbit_cache: dict = {}
+    use_symmetry = config.symmetry
+    evaluator = table.evaluator
+    clock = time.perf_counter
+    generate_s = enumerate_s = consume_s = minimality_s = 0.0
+    witnesses_seen = 0  # unweighted, for the periodic deadline check
+    timed_out = False
+    tracer = current_tracer()
+    registry = current_registry()
 
     generated = clock()
     # Publish the deadline on the cooperative channel so a stuck SAT
@@ -368,30 +440,37 @@ def run_pipeline(
         for order_key, program in ordered_programs:
             generate_s += clock() - generated
             if deadline is not None and time.monotonic() > deadline:
-                stats.timed_out = True
+                timed_out = True
                 break
-            stats.programs_enumerated += 1
+            for outcome in outcomes:
+                outcome.stats.programs_enumerated += 1
             span = (
-                tracer.begin("program", category="pipeline", order=list(order_key))
+                tracer.begin(
+                    "program",
+                    category="pipeline",
+                    order=list(order_key),
+                    queries=len(queries),
+                )
                 if tracer
                 else None
             )
             try:
-                sym = None
-                program_key: Optional[ProgramKey] = None
-                if use_symmetry:
-                    sym = program_symmetry(program)
-                    program_key = sym.canonical_key
+                sym = program_symmetry(program) if use_symmetry else None
+                if sym is not None:
                     if sym.prunable:
-                        stats.symmetric_programs += 1
-                    record = orbit_cache.get(program_key)
+                        for outcome in outcomes:
+                            outcome.stats.symmetric_programs += 1
+                    record = orbit_cache.get(sym.canonical_key)
                     if record is not None and record[0] < sym.identity_key:
-                        # Orbit-level dedup: a class member with a smaller rank
-                        # already ran in full this pass; replay its weighted
+                        # Orbit-level dedup: a class member with a smaller
+                        # rank already ran in full this pass; replay its
                         # totals and skip translation/enumeration entirely.
-                        stats.orbit_replays += 1
-                        stats.executions_enumerated += record[1]
-                        stats.interesting += record[2]
+                        for outcome, deltas in zip(outcomes, record[2]):
+                            stats = outcome.stats
+                            stats.orbit_replays += 1
+                            stats.executions_enumerated += record[1]
+                            for name, delta in zip(_OBSERVED, deltas):
+                                setattr(stats, name, getattr(stats, name) + delta)
                         if span is not None:
                             span.args["orbit_replay"] = True
                         if registry:
@@ -399,139 +478,233 @@ def run_pipeline(
                                 "pipeline.witnesses_per_program", record[1]
                             )
                         continue
+                before = [
+                    tuple(getattr(outcome.stats, name) for name in _OBSERVED)
+                    for outcome in outcomes
+                ]
                 program_executions = 0
-                program_interesting = 0
-                new_keys = 0
-                witnesses_seen = 0  # unweighted, for the periodic deadline check
-                candidate: Optional[tuple] = None  # (exec key, witness rank, execution)
+                #: Per query: this program's best minimal candidate
+                #: (execution key, witness rank, execution) and how many
+                #: minimal keys it credited first.
+                candidates: list = [None] * len(plans)
+                new_keys = [0] * len(plans)
+                session_before = sum(
+                    stage_times.get(stage, 0.0) for stage in _SESSION_STAGES
+                )
+                program_enumerate = 0.0
                 started = clock()
                 iterator = iter(witness_stream(program, sym))
                 while True:
                     item = next(iterator, None)
-                    enumerate_s += clock() - started
+                    program_enumerate += clock() - started
                     if item is None:
                         break
                     execution, weight = item
                     witnesses_seen += 1
-                    stats.executions_enumerated += weight
                     program_executions += weight
-                    if weight > 1:
-                        stats.orbit_witnesses_pruned += weight - 1
+                    for outcome in outcomes:
+                        stats = outcome.stats
+                        stats.executions_enumerated += weight
+                        if weight > 1:
+                            stats.orbit_witnesses_pruned += weight - 1
                     if (
                         deadline is not None
                         and witnesses_seen % 64 == 0
                         and time.monotonic() > deadline
                     ):
-                        stats.timed_out = True
+                        timed_out = True
                         break
                     started = clock()
-                    if target is not None:
-                        interesting = not target.holds(execution)
-                    else:
-                        interesting = not model.permits(execution)
-                    classify_s += clock() - started
-                    if not interesting:
-                        started = clock()
-                        continue
-                    stats.interesting += weight
-                    program_interesting += weight
-                    execution_key = (
-                        execution_key_via(sym, execution)
-                        if sym is not None
-                        else canonical_execution_key(execution)
-                    )
-                    minimal = minimal_by_key.get(execution_key)
-                    if minimal is None:
-                        started = clock()
-                        minimal = check_minimal(execution, model, execution_key)
-                        minimality_s += clock() - started
-                        minimal_by_key[execution_key] = minimal
-                        if minimal:
-                            stats.minimal += 1
-                            new_keys += 1
-                    if minimal:
-                        rank = witness_sort_key(
-                            program, execution._rf, execution.co, execution.co_pa
-                        )
-                        if candidate is None or (execution_key, rank) < candidate[:2]:
-                            candidate = (execution_key, rank, execution)
+                    permits = evaluator(execution)
+                    key_memo: list = []
+
+                    def execution_key_of():
+                        if not key_memo:
+                            key_memo.append(
+                                execution_key_via(sym, execution)
+                                if sym is not None
+                                else canonical_execution_key(execution)
+                            )
+                        return key_memo[0]
+
+                    witness_rank = None
+                    for index, (query, memo, credited) in enumerate(plans):
+                        if not query.observe(permits, weight, execution_key_of):
+                            continue
+                        execution_key = execution_key_of()
+                        minimal = memo.get(execution_key)
+                        if minimal is None:
+                            checked = clock()
+                            minimal = check_minimal(
+                                execution, query.model, execution_key
+                            )
+                            minimality_s += clock() - checked
+                            memo[execution_key] = minimal
+                        if not minimal:
+                            continue
+                        if execution_key not in credited:
+                            credited.add(execution_key)
+                            query.outcome.stats.minimal += 1
+                            new_keys[index] += 1
+                        if witness_rank is None:
+                            witness_rank = witness_sort_key(
+                                program, execution._rf, execution.co, execution.co_pa
+                            )
+                        best = candidates[index]
+                        if best is None or (execution_key, witness_rank) < best[:2]:
+                            candidates[index] = (
+                                execution_key,
+                                witness_rank,
+                                execution,
+                            )
+                    consume_s += clock() - started
                     started = clock()
+                session_s = (
+                    sum(stage_times.get(stage, 0.0) for stage in _SESSION_STAGES)
+                    - session_before
+                )
+                enumerate_s += max(0.0, program_enumerate - session_s)
 
                 if span is not None:
                     span.args["witnesses"] = program_executions
-                    span.args["interesting"] = program_interesting
                 if registry:
                     registry.observe(
                         "pipeline.witnesses_per_program", program_executions
                     )
-                program_timed_out = (
-                    deadline is not None and time.monotonic() > deadline
-                )
-                if candidate is not None:
-                    if program_key is None:
-                        program_key = canonical_program_key(program)
-                    rep_rank = (
-                        sym.identity_key
-                        if sym is not None
-                        else identity_program_key(program)
-                    )
-                    execution_key, rank, execution = candidate
-                    entry = by_key.get(program_key)
-                    if entry is None:
-                        by_key[program_key] = SynthesizedElt(
-                            program=program,
-                            execution=execution,
-                            key=program_key,
-                            violated_axioms=model.check(execution).violated,
-                            outcome_count=new_keys,
-                            execution_key=execution_key,
-                            rep_rank=rep_rank,
-                            witness_rank=rank,
-                        )
-                        outcome.order[program_key] = order_key
+                if any(candidate is not None for candidate in candidates):
+                    if sym is not None:
+                        program_key, rep_rank = sym.canonical_key, sym.identity_key
                     else:
-                        entry.outcome_count += new_keys
-                        if rep_rank < entry.rep_rank:
-                            entry.program = program
-                            entry.execution = execution
-                            entry.violated_axioms = model.check(execution).violated
-                            entry.execution_key = execution_key
-                            entry.rep_rank = rep_rank
-                            entry.witness_rank = rank
-                            outcome.order[program_key] = order_key
-                if use_symmetry and not program_timed_out and not stats.timed_out:
-                    record = orbit_cache.get(program_key)
+                        program_key = canonical_program_key(program)
+                        rep_rank = identity_program_key(program)
+                    for (query, _memo, _credited), candidate, count in zip(
+                        plans, candidates, new_keys
+                    ):
+                        if candidate is not None:
+                            _fold(
+                                query,
+                                order_key,
+                                program,
+                                program_key,
+                                rep_rank,
+                                candidate,
+                                count,
+                            )
+                if timed_out or (
+                    deadline is not None and time.monotonic() > deadline
+                ):
+                    timed_out = True
+                    break
+                if sym is not None:
+                    record = orbit_cache.get(sym.canonical_key)
                     if record is None or sym.identity_key < record[0]:
-                        orbit_cache[program_key] = (
+                        deltas = tuple(
+                            tuple(
+                                getattr(outcome.stats, name) - start
+                                for name, start in zip(_OBSERVED, snapshot)
+                            )
+                            for outcome, snapshot in zip(outcomes, before)
+                        )
+                        orbit_cache[sym.canonical_key] = (
                             sym.identity_key,
                             program_executions,
-                            program_interesting,
+                            deltas,
                         )
-                if program_timed_out:
-                    stats.timed_out = True
-                    break
             except SolverInterrupted:
                 # The cooperative deadline cut a SAT query short mid-witness;
                 # the solver backtracked to level 0 first, so every result up
                 # to the previous program stands as a normal partial timeout.
-                stats.timed_out = True
+                timed_out = True
                 break
             finally:
                 tracer.end(span)
                 generated = clock()
 
+    if timed_out:
+        for outcome in outcomes:
+            outcome.stats.timed_out = True
     if sat_stats is not None:
-        stats.absorb_solver(sat_stats)
-    times = stats.stage_times
+        # Every query absorbs the shared enumeration's (snapshot) solver
+        # counters — what a dedicated single-query run would report.
+        # Translations actually performed are credited to the lead query
+        # only; the others record them as *avoided*, so a sum over
+        # outcomes still reflects the work done once, and a result cached
+        # from a fused run never reads as "zero solver work".
+        from ..sat import SolverStats
+
+        lead.absorb_solver(sat_stats)
+        if len(outcomes) > 1:
+            shared = SolverStats()
+            shared.merge(sat_stats)
+            shared.translations_avoided += shared.translations
+            shared.translations = 0
+            shared.sessions = 0
+            for outcome in outcomes[1:]:
+                outcome.stats.absorb_solver(shared)
     for stage, seconds in (
         ("generate", generate_s),
         ("enumerate", enumerate_s),
-        ("classify", classify_s),
+        ("classify", max(0.0, consume_s - minimality_s)),
         ("minimality", minimality_s),
     ):
         if seconds:
-            times[stage] = times.get(stage, 0.0) + seconds
-    return outcome
+            stage_times[stage] = stage_times.get(stage, 0.0) + seconds
+    return outcomes
+
+
+def _fold(query, order_key, program, program_key, rep_rank, candidate, new_keys):
+    """Credit one program's best minimal candidate to its class entry.
+
+    Representative selection is order-free at both levels: the class
+    member with the smallest identity rank owns the entry, and among the
+    owner's minimal candidates — canonical-key duplicates included, so
+    the minimum is a property of the witness *set* — the smallest
+    (canonical key, witness sort key) wins.  The sort key is the order
+    the symmetry layer's lex-leader clauses enforce, so orbit pruning
+    keeps exactly the witnesses that can win."""
+    execution_key, witness_rank, execution = candidate
+    outcome = query.outcome
+    entry = outcome.by_key.get(program_key)
+    if entry is not None:
+        entry.outcome_count += new_keys
+        if (entry.rep_rank, entry.execution_key, entry.witness_rank) <= (
+            rep_rank,
+            execution_key,
+            witness_rank,
+        ):
+            return
+    outcome.by_key[program_key] = SynthesizedElt(
+        program=program,
+        execution=execution,
+        key=program_key,
+        violated_axioms=query.model.check(execution).violated,
+        outcome_count=new_keys if entry is None else entry.outcome_count,
+        execution_key=execution_key,
+        rep_rank=rep_rank,
+        witness_rank=witness_rank,
+    )
+    outcome.order[program_key] = order_key
+
+
+def run_pipeline(
+    config: SynthesisConfig,
+    ordered_programs: Iterable[tuple[OrderKey, Program]],
+    deadline: Optional[float] = None,
+) -> PipelineOutcome:
+    """Synthesis over an ordered program stream: :func:`run_queries`
+    with one :class:`ForbiddenQuery`, whose verdict model is the target
+    axiom alone (or the whole ``config.model`` when untargeted)."""
+    model = config.model
+    verdict = model
+    if config.target_axiom is not None:
+        verdict = MemoryModel(
+            f"{model.name}:{config.target_axiom}",
+            (model.axiom(config.target_axiom),),
+        )
+    query = ForbiddenQuery(model, 0)
+    return run_queries(
+        config, ordered_programs, AxiomTable([verdict]), [query], deadline
+    )[0]
 
 
 def finalize_result(
@@ -545,6 +718,15 @@ def finalize_result(
     return result
 
 
+def serial_programs(config: SynthesisConfig):
+    """The unsharded ordered program stream: every program keyed by its
+    enumeration index."""
+    return (
+        ((index,), program)
+        for index, program in enumerate(enumerate_programs(config))
+    )
+
+
 def synthesize(config: SynthesisConfig) -> SuiteResult:
     """Run the full Fig 7 pipeline for one (axiom, bound) pair."""
     started = time.monotonic()
@@ -553,14 +735,7 @@ def synthesize(config: SynthesisConfig) -> SuiteResult:
         if config.time_budget_s is None
         else started + config.time_budget_s
     )
-    outcome = run_pipeline(
-        config,
-        (
-            ((index,), program)
-            for index, program in enumerate(enumerate_programs(config))
-        ),
-        deadline=deadline,
-    )
+    outcome = run_pipeline(config, serial_programs(config), deadline=deadline)
     return finalize_result(config, outcome, time.monotonic() - started)
 
 

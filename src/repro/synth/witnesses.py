@@ -24,9 +24,10 @@ This module is the *explicit* backend of the engine's witness streams
 incremental witness sessions (:mod:`repro.synth.sat_backend`) enumerate
 the same streams through the relational pipeline, translated once per
 program and replayed from cache.  Both backends feed the same consumers:
-under either one, the fused conformance pipeline
-(:func:`repro.conformance.run_multi_diff_pipeline`) iterates a program's
-witnesses once for every model pair in flight, and the §IV-B minimality
+under either one, the program loop
+(:func:`repro.synth.engine.run_queries`) iterates a program's witnesses
+once for every query in flight — one per model pair in a fused
+conformance run, and the §IV-B minimality
 verdicts computed from :func:`enumerate_witnesses_constrained` are
 shared across suites and pairs through the cache in
 :mod:`repro.synth.relax`.

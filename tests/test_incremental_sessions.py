@@ -258,6 +258,7 @@ def test_session_queries_match_fresh_constrained_problems(
 def test_fused_multi_pair_diff_matches_per_pair(program) -> None:
     from repro.conformance import run_diff_pipeline, run_multi_diff_pipeline
     from repro.conformance.diff import DiffConfig
+    from repro.litmus.format import serialize_elt
 
     names = list(CATALOG)
     pairs = [(r, s) for r in names for s in names if r != s][:6]
@@ -281,7 +282,9 @@ def test_fused_multi_pair_diff_matches_per_pair(program) -> None:
         assert set(outcome.by_key) == set(solo.by_key)
         for key, entry in outcome.by_key.items():
             assert entry.execution_key == solo.by_key[key].execution_key
-            assert entry.text == solo.by_key[key].text
+            assert serialize_elt(entry.execution) == serialize_elt(
+                solo.by_key[key].execution
+            )
             assert entry.outcome_count == solo.by_key[key].outcome_count
         for bucket in (
             "both_permit",
@@ -519,3 +522,66 @@ class TestCliSurface:
         assert code == 1  # discriminating pairs exist at bound 4
         assert "sessions opened" in captured.out
         assert '"stage-profile"' in captured.out
+
+    @staticmethod
+    def _stage_profile(text: str) -> dict:
+        import json as json_module
+
+        start = text.index('{\n  "kind": "stage-profile"')
+        return json_module.JSONDecoder().raw_decode(text, start)[0]
+
+    def test_all_pairs_profile_total_is_the_run_time(self, capsys) -> None:
+        # Every cell's runtime_s is the whole fused run; the profile
+        # total must not add them up once per pair.
+        import time
+
+        shared_session_cache().clear()
+        started = time.perf_counter()
+        code, captured = self._run(
+            capsys,
+            [
+                "diff",
+                "--all-pairs",
+                "--bound",
+                "4",
+                "--witness-backend",
+                "sat",
+                "--json",
+                "--profile",
+            ],
+        )
+        wall_s = time.perf_counter() - started
+        assert code == 1
+        profile = self._stage_profile(captured.err)
+        assert 0.0 < profile["total_s"] <= wall_s
+
+    def test_sat_synthesis_profile_stages_add_up(self, capsys) -> None:
+        # The session's translate/solve/decode run inside witness
+        # production; "enumerate" excludes them, so no stage overlaps
+        # another and together they fit in the run.
+        from repro.synth import clear_minimality_cache
+
+        shared_session_cache().clear()  # cold: the session stages run
+        clear_minimality_cache()
+        code, captured = self._run(
+            capsys,
+            [
+                "synthesize",
+                "--model",
+                "x86tso",
+                "--mcm",
+                "--bound",
+                "3",
+                "--threads",
+                "3",
+                "--witness-backend",
+                "sat",
+                "--profile",
+            ],
+        )
+        assert code == 0
+        profile = self._stage_profile(captured.out)
+        stages = profile["stages"]
+        assert {"translate", "solve", "decode", "enumerate"} <= set(stages)
+        # Rendering rounds each value to the microsecond.
+        assert sum(stages.values()) <= profile["total_s"] + 1e-5

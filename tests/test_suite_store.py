@@ -146,3 +146,75 @@ class TestResumableSweeps:
         assert sum(
             r.shard_cache_misses for r in again_records
         ) == 0
+
+
+class TestStaleEntries:
+    def test_entry_naming_a_deleted_class_is_quarantined_and_recomputed(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """Diff cells cached before discriminating ELTs became
+        ``SynthesizedElt`` records pickle a class that no longer exists.
+        Their digests still verify, so only unpickling fails: the store
+        must quarantine the entry and the run recompute the same cell."""
+        import json
+        import pickle
+
+        import pytest
+
+        from repro.conformance import (
+            DiffConfig,
+            cell_to_json,
+            diff_entry_key,
+            run_diff,
+        )
+        from repro.conformance import diff as diff_module
+        from repro.litmus import suite_from_diff
+        from repro.models import x86t_amd_bug
+        from repro.orchestrate.store import KIND_DIFF_CELL
+
+        def cell_bytes(cell) -> str:
+            document = cell_to_json(cell)
+            del document["stats"]["runtime_s"]
+            return json.dumps(document, sort_keys=True) + suite_from_diff(
+                cell
+            ).dumps()
+
+        diff = DiffConfig(
+            base=SynthesisConfig(bound=5, model=x86t_elt()),
+            subject=x86t_amd_bug(),
+        )
+        fresh = run_diff(diff).cell
+        assert fresh.elts
+
+        class DiscriminatingElt:  # stands in for the deleted class
+            pass
+
+        DiscriminatingElt.__module__ = diff_module.__name__
+        DiscriminatingElt.__qualname__ = "DiscriminatingElt"
+        monkeypatch.setattr(
+            diff_module, "DiscriminatingElt", DiscriminatingElt, raising=False
+        )
+        stale_elts = []
+        for elt in fresh.elts:
+            stale_elt = DiscriminatingElt()
+            stale_elt.__dict__.update(vars(elt))
+            stale_elts.append(stale_elt)
+        store = SuiteStore(tmp_path)
+        key = diff_entry_key(diff, KIND_DIFF_CELL)
+        store.put(key, replace(fresh, elts=stale_elts), {"kind": KIND_DIFF_CELL})
+        monkeypatch.delattr(diff_module, "DiscriminatingElt")
+
+        payload = (store.entries_dir / f"{key}.pkl").read_bytes()
+        assert store.verify().clean  # the digest vouches for the bytes
+        with pytest.raises(AttributeError):
+            pickle.loads(payload)
+
+        rerun = run_diff(diff, store=store)
+        assert not rerun.cell_cache_hit
+        assert store.counters.corrupt == 1
+        assert (store.quarantine_dir / f"{key}.pkl").read_bytes() == payload
+        assert cell_bytes(rerun.cell) == cell_bytes(fresh)
+        # The recomputed cell replaced the stale entry.
+        healed = run_diff(diff, store=store)
+        assert healed.cell_cache_hit
+        assert cell_bytes(healed.cell) == cell_bytes(fresh)
