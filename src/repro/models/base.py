@@ -115,7 +115,9 @@ class MemoryModel:
         )
 
     def permits(self, execution: Execution) -> bool:
-        return self.check(execution).permitted
+        """Whether every axiom holds; stops at the first violated one
+        (:meth:`check` evaluates them all, for reporting)."""
+        return all(axiom.holds(execution) for axiom in self.axioms)
 
     def forbids(self, execution: Execution) -> bool:
         return not self.permits(execution)

@@ -515,6 +515,40 @@ class Execution:
         except KeyError as exc:
             raise WellFormednessError(f"unknown relation {name!r}") from exc
 
+    def restricted(
+        self, removed: frozenset[str], dropped_rmw: Optional[Pair] = None
+    ) -> "Execution":
+        """A view of this execution's relations without the ``removed``
+        events (every tuple mentioning one is dropped) and without the
+        ``dropped_rmw`` pair.
+
+        The view is for predicate evaluation (:meth:`MemoryModel.permits
+        <repro.models.MemoryModel.permits>`): it carries ``relations``
+        only — no program and no witness are rebuilt.  The restriction
+        lemma in :mod:`repro.synth.relax` says when these are the
+        relations of the execution a relaxation rebuilds.
+        """
+        raw = TupleSet._raw
+        relations = dict(self.relations)
+        if removed:
+            # Every tuple that mentions a removed event, per arity, so the
+            # filtering is set algebra.
+            outgoing = {(a, b) for a in removed for b in self.program.events}
+            dropped = {
+                1: {(a,) for a in removed},
+                2: outgoing | {(b, a) for a, b in outgoing},
+            }
+            for name, relation in relations.items():
+                tuples, arity = relation.tuples, relation.arity
+                if not tuples.isdisjoint(dropped[arity]):
+                    relations[name] = raw(arity, tuples - dropped[arity])
+        if dropped_rmw is not None:
+            rmw = relations[names.RMW]
+            relations[names.RMW] = raw(2, rmw.tuples - {dropped_rmw})
+        view = object.__new__(Execution)
+        view.relations = relations
+        return view
+
     def to_instance(self) -> Instance:
         """Export as a relational :class:`Instance` (atoms = event ids) for
         the evaluator / SAT backend."""

@@ -103,12 +103,14 @@ class Program:
         return self.parent_of(walk_eid)
 
     def __getstate__(self):
-        """Strip per-object computation memos (e.g. the
-        :func:`repro.symmetry.program_symmetry` cache) so pickled
+        """Strip per-object computation memos (the
+        :func:`repro.symmetry.program_symmetry` and
+        :func:`repro.synth.relax.removal_groups` caches) so pickled
         programs — shard results, suite-store payloads — carry only the
         structural fields."""
         state = self.__dict__.copy()
         state.pop("_symmetry_memo", None)
+        state.pop("_removal_groups_memo", None)
         return state
 
     def position(self, eid: str) -> tuple[int, int]:

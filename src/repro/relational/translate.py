@@ -483,7 +483,7 @@ class _Compilation:
             self._rel_matrices[expr.name] = matrix
             return matrix
         if isinstance(expr, ast.Literal):
-            return {t: TRUE for t in expr.value.tuples}
+            return {t: TRUE for t in sorted(expr.value.tuples)}
         if isinstance(expr, ast.Iden):
             return {(a, a): TRUE for a in self.problem.atoms}
         if isinstance(expr, ast.Univ):
@@ -503,8 +503,9 @@ class _Compilation:
             left = self._expr(expr.left, env)
             right = self._expr(expr.right, env)
             return {
-                t: builder.and_([left[t], right[t]])
-                for t in left.keys() & right.keys()
+                t: builder.and_([node, right[t]])
+                for t, node in left.items()
+                if t in right
             }
         if isinstance(expr, ast.Difference):
             left = self._expr(expr.left, env)

@@ -20,6 +20,51 @@ The relaxed execution keeps every surviving witness edge; reads whose
 source vanished read the initial value; coherence orders are re-completed
 when the value flow changed (see witnesses.enumerate_witnesses_constrained)
 and the relaxation counts as "became permitted" if *some* completion is.
+
+Restriction lemma (the fast path of :func:`relaxation_becomes_permitted`)
+------------------------------------------------------------------------
+Let a relaxation remove a closed group such that no removed event is the
+rf source, data or PTE, of a surviving event (always true for an rmw
+drop, which removes nothing).  Then the relaxed witness has exactly one
+completion, and its relations are the parent execution's restricted to
+the survivors, minus the dropped rmw pair.
+
+Proof.
+
+1. *rf_ptw and ptw_source are unchanged for survivors.*  A surviving
+   access keeps its walk: a removed walk takes its users along.  The
+   walk's invoker survives too, since a ghost goes only with its
+   parent.  Removing events adds no INVLPG, TLB flush or newer walk
+   between a walk and its users.  So each survivor reads the same TLB
+   entry, and every invoker -> user pair of a surviving walk survives.
+2. *Mappings, PAs and locations are unchanged.*  Every surviving walk
+   and read keeps its rf source (the hypothesis).  A walk that reads a
+   dirty-bit write keeps that write, hence the write's parent, hence
+   the parent's walk (step 1), whose source survives in turn.  By
+   induction along the value flow, every surviving walk loads the same
+   mapping from the same origin PTE write.  PAs of user accesses, and
+   with them all locations, stay as they were.
+3. *The completion is unique.*  Walk sources and data rf edges are
+   pinned to the parent's.  The parent's ``co`` is total per location
+   and its ``co_pa`` total per target PA.  Restricted to survivors whose
+   locations did not move, both stay total, so ``co_must`` and
+   ``co_pa_must`` admit exactly one linear extension each.
+4. *The derived relations restrict.*  ``fr``, ``fr_va``, ``fr_pa`` and
+   ``rf_pa`` are functions of rf sources, walk origins, PAs, locations
+   and the two coherence orders over the same events, so they are the
+   parent's relations restricted to the survivors.  So are ``sloc``,
+   ``po_loc``, ``rfe`` and ``com``.  The static relations (po, apo,
+   ghost, remap, rmw and the event sets) restrict by construction,
+   because threads keep their cores and relative order.
+
+Hence :meth:`Execution.restricted <repro.mtm.Execution.restricted>` is
+the one completion's relation set, and ``model.permits`` on it is the
+relaxation's verdict.  The other relaxations (about 12% at bound 8: a
+removed write or PTE write fed a survivor) rebuild the relaxed program
+and re-complete values, locations and coherence
+(:func:`relaxed_completions`; ``tests/test_relax_completion.py``).
+``tests/test_relax_restriction.py`` checks the lemma against the rebuild
+on every relaxation of every enumerated execution up to bound 6.
 """
 
 from __future__ import annotations
@@ -35,8 +80,21 @@ from .witnesses import enumerate_witnesses_constrained
 Pair = tuple[str, str]
 
 
-def removal_groups(program: Program) -> list[frozenset[str]]:
-    """All distinct closed removal groups, seeded at each non-ghost event."""
+def removal_groups(program: Program) -> tuple[frozenset[str], ...]:
+    """All distinct closed removal groups, seeded at each non-ghost event.
+
+    Memoized on the program (every forbidden execution of a program is
+    checked against the same groups); :meth:`Program.__getstate__` strips
+    the memo.
+    """
+    cached = program.__dict__.get("_removal_groups_memo")
+    if cached is None:
+        cached = _removal_groups_uncached(program)
+        object.__setattr__(program, "_removal_groups_memo", cached)
+    return cached
+
+
+def _removal_groups_uncached(program: Program) -> tuple[frozenset[str], ...]:
     rf_ptw = derive_rf_ptw(program)
     users_of_walk: dict[str, set[str]] = {}
     for walk, user in rf_ptw:
@@ -72,7 +130,7 @@ def removal_groups(program: Program) -> list[frozenset[str]]:
         if event.is_ghost:
             continue  # ghosts are not removable in isolation (§IV-B)
         groups.add(close(eid))
-    return sorted(groups, key=lambda g: (len(g), sorted(g)))
+    return tuple(sorted(groups, key=lambda g: (len(g), sorted(g))))
 
 
 def relaxed_program(program: Program, removed: frozenset[str]) -> Program:
@@ -147,6 +205,37 @@ def _surviving_witness(
     return walk_sources, data_rf, co, co_pa
 
 
+def keeps_value_flow(execution: Execution, removed: frozenset[str]) -> bool:
+    """Whether every surviving event keeps its rf source (data or PTE) —
+    the condition of the restriction lemma (module docstring)."""
+    return not any(
+        src in removed and dst not in removed for src, dst in execution._rf
+    )
+
+
+def relaxed_completions(
+    execution: Execution,
+    removed: frozenset[str] = frozenset(),
+    dropped_rmw: Optional[Pair] = None,
+) -> Iterator[Execution]:
+    """Every completion of one relaxation, rebuilt: the relaxed program,
+    with the surviving witness edges pinned and values, locations and
+    coherence re-completed (the general path)."""
+    program = execution.program
+    if dropped_rmw is not None:
+        target = without_rmw_pair(program, dropped_rmw)
+    else:
+        target = relaxed_program(program, removed)
+    walk_sources, data_rf, co, co_pa = _surviving_witness(execution, removed)
+    yield from enumerate_witnesses_constrained(
+        target,
+        walk_sources=walk_sources,
+        data_rf=data_rf,
+        co_must=co,
+        co_pa_must=co_pa,
+    )
+
+
 def relaxation_becomes_permitted(
     execution: Execution,
     model: MemoryModel,
@@ -154,25 +243,22 @@ def relaxation_becomes_permitted(
     dropped_rmw: Optional[Pair] = None,
 ) -> bool:
     """Apply one relaxation and check the §IV-B condition: some completion
-    of the surviving outcome is permitted by the full predicate."""
-    program = execution.program
-    if dropped_rmw is not None:
-        target = without_rmw_pair(program, dropped_rmw)
-    else:
-        target = relaxed_program(program, removed)
-    if not target.events:
+    of the surviving outcome is permitted by the full predicate.
+
+    ``removed`` is a closed removal group (:func:`removal_groups`).  When
+    the relaxation keeps every survivor's rf source (always, for an rmw
+    drop), the one completion is the parent restricted to the survivors
+    (the restriction lemma, module docstring); otherwise the completions
+    are rebuilt.
+    """
+    if len(removed) >= len(execution.program.events):
         return True  # the empty execution is trivially permitted
-    walk_sources, data_rf, co, co_pa = _surviving_witness(execution, removed)
-    for candidate in enumerate_witnesses_constrained(
-        target,
-        walk_sources=walk_sources,
-        data_rf=data_rf,
-        co_must=co,
-        co_pa_must=co_pa,
-    ):
-        if model.permits(candidate):
-            return True
-    return False
+    if keeps_value_flow(execution, removed):
+        return model.permits(execution.restricted(removed, dropped_rmw))
+    return any(
+        model.permits(candidate)
+        for candidate in relaxed_completions(execution, removed, dropped_rmw)
+    )
 
 
 def relaxations(program: Program) -> Iterator[tuple[frozenset[str], Optional[Pair]]]:

@@ -182,3 +182,42 @@ class TestVerdictApi:
 
         with pytest.raises(SynthesisError):
             tso.without("bad", ["nonexistent"])
+
+    def test_permits_stops_at_the_first_violated_axiom(self) -> None:
+        from repro.models import Axiom
+
+        evaluated = []
+
+        def spy(voc) -> bool:
+            evaluated.append(True)
+            return True
+
+        execution = fig11_stale_mapping_after_ipi().execution
+        model = MemoryModel(
+            "fails_first",
+            [Axiom("never", lambda voc: False), Axiom("spy", spy)],
+        )
+        assert not model.permits(execution)
+        assert evaluated == []
+        # check() still evaluates every axiom, for reporting.
+        assert model.check(execution).violated == ("never",)
+        assert evaluated == [True]
+
+    def test_permits_agrees_with_check_on_every_bound5_execution(self) -> None:
+        from repro.models import catalog_models
+        from repro.synth import (
+            SynthesisConfig,
+            enumerate_programs,
+            enumerate_witnesses,
+        )
+
+        models = catalog_models().values()
+        count = 0
+        for program in enumerate_programs(SynthesisConfig(bound=5)):
+            for execution in enumerate_witnesses(program):
+                count += 1
+                for model in models:
+                    assert model.permits(execution) == (
+                        model.check(execution).permitted
+                    ), (model.name, execution)
+        assert count > 50

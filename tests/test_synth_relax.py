@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 from repro.litmus.classics import rmw_intervene
 from repro.litmus.figures import (
     fig8_non_minimal_mp,
@@ -10,6 +12,7 @@ from repro.litmus.figures import (
 )
 from repro.models import x86t_elt
 from repro.mtm import EventKind, Execution, ProgramBuilder
+from repro.mtm.execution import derive_rf_ptw
 from repro.synth import (
     is_minimal,
     relaxation_becomes_permitted,
@@ -72,6 +75,16 @@ class TestRemovalGroups:
             {ex.eid("WPTE0"), ex.eid("INVLPG1"), ex.eid("INVLPG2")}
         )
         assert remap_group in groups
+
+    def test_groups_are_memoized_but_not_pickled(self) -> None:
+        program = fig10a_ptwalk2().execution.program
+        derive_rf_ptw(program)
+        payload = pickle.dumps(program)
+        groups = removal_groups(program)
+        assert removal_groups(program) is groups
+        # Shard results and store payloads carry the same bytes as before.
+        assert pickle.dumps(program) == payload
+        assert removal_groups(pickle.loads(payload)) == groups
 
 
 class TestRelaxedProgram:
