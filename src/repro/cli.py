@@ -138,38 +138,41 @@ def _finish_observation(
         print(f"trace written to {args.trace}", file=sys.stderr)
 
 
-def _store(args: argparse.Namespace):
-    """Build the suite store requested by --cache-dir/--resume (or None)."""
+def _orchestration(args: argparse.Namespace):
+    """Validate the orchestration arguments and build the run's
+    ``(store, retry, faults)``: the suite store requested by
+    --cache-dir (or None), the RetryPolicy from --max-retries /
+    --shard-timeout, and the --chaos FaultPlan (or None).
+
+    Every orchestrating subcommand calls this once; a bad argument is a
+    usage error (exit 2), which keeps exit 1 free for the subcommands
+    that give it a meaning."""
     if args.jobs < 1:
-        raise SystemExit(f"--jobs must be positive, got {args.jobs}")
+        raise _usage_error(f"--jobs must be positive, got {args.jobs}")
     if args.shards is not None and args.shards < 1:
-        raise SystemExit(f"--shards must be positive, got {args.shards}")
-    if getattr(args, "max_retries", 0) < 0:
-        raise SystemExit(
+        raise _usage_error(f"--shards must be positive, got {args.shards}")
+    if args.max_retries < 0:
+        raise _usage_error(
             f"--max-retries must be non-negative, got {args.max_retries}"
         )
-    if getattr(args, "resume", False) and not getattr(args, "cache_dir", None):
-        raise SystemExit("--resume requires --cache-dir")
-    if getattr(args, "cache_dir", None):
-        from .orchestrate import SuiteStore
-
-        _retry, faults = _resilience(args)
-        return SuiteStore(args.cache_dir, faults=faults)
-    return None
-
-
-def _resilience(args: argparse.Namespace):
-    """The run's (RetryPolicy, FaultPlan-or-None) from --max-retries /
-    --shard-timeout / --chaos."""
+    if args.shard_timeout is not None and args.shard_timeout <= 0:
+        raise _usage_error(
+            f"--shard-timeout must be positive, got {args.shard_timeout}"
+        )
+    if args.resume and not args.cache_dir:
+        raise _usage_error("--resume requires --cache-dir")
     from .resilience import RetryPolicy, default_chaos_plan
 
     retry = RetryPolicy(
-        max_retries=getattr(args, "max_retries", 2),
-        shard_timeout_s=getattr(args, "shard_timeout", None),
+        max_retries=args.max_retries, shard_timeout_s=args.shard_timeout
     )
-    chaos = getattr(args, "chaos", None)
-    faults = default_chaos_plan(chaos) if chaos is not None else None
-    return retry, faults
+    faults = None if args.chaos is None else default_chaos_plan(args.chaos)
+    store = None
+    if args.cache_dir:
+        from .orchestrate import SuiteStore
+
+        store = SuiteStore(args.cache_dir, faults=faults)
+    return store, retry, faults
 
 
 def _warn_degraded(failures) -> None:
@@ -198,8 +201,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         incremental=not args.fresh_solver,
         symmetry=not args.no_symmetry,
     )
-    store = _store(args)
-    retry, faults = _resilience(args)
+    store, retry, faults = _orchestration(args)
     orchestrated = None
     obs = _observation(args)
     with obs:
@@ -281,7 +283,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .models import X86T_ELT_AXIOM_NAMES
     from .reporting import resolve_max_bounds, resolve_sweep_budget
 
-    store = _store(args)
+    store, retry, faults = _orchestration(args)
     for axiom in args.axiom or ():
         if axiom not in X86T_ELT_AXIOM_NAMES:
             raise SystemExit(
@@ -296,7 +298,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     bounds = resolve_max_bounds(explicit, axioms=args.axiom or None)
     budget = resolve_sweep_budget(args.budget)
     obs = _observation(args)
-    retry, faults = _resilience(args)
     with obs:
         if (
             args.jobs > 1
@@ -415,16 +416,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
             "--save applies to a single pair's discriminating suite; "
             "use --json to capture an --all-pairs run"
         )
-    # Validate the orchestration arguments here so their failures honor
-    # diff's exit-code contract (2 = usage error); _store's own SystemExit
-    # paths carry string payloads, which exit 1.
-    if args.jobs < 1:
-        raise _usage_error(f"--jobs must be positive, got {args.jobs}")
-    if args.shards is not None and args.shards < 1:
-        raise _usage_error(f"--shards must be positive, got {args.shards}")
-    if args.resume and not args.cache_dir:
-        raise _usage_error("--resume requires --cache-dir")
-    store = _store(args)
+    store, retry, faults = _orchestration(args)
 
     if args.all_pairs:
         from .conformance import run_all_pairs
@@ -445,7 +437,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
             symmetry=not args.no_symmetry,
         )
         obs = _observation(args)
-        retry, faults = _resilience(args)
         with obs:
             started = time.monotonic()
             matrix, records = run_all_pairs(
@@ -518,7 +509,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     )
     run_record = None
     obs = _observation(args)
-    retry, faults = _resilience(args)
     with obs:
         if (
             args.jobs > 1
@@ -607,21 +597,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 print(f"  {file} [{test}]: {reason}")
         return 0 if report.ok else 1
 
-    # Validate orchestration arguments here so their failures honor the
-    # fuzz exit-code contract (2 = usage error, 1 = findings exist).
-    if args.jobs < 1:
-        raise _usage_error(f"--jobs must be positive, got {args.jobs}")
-    if args.shards is not None and args.shards < 1:
-        raise _usage_error(f"--shards must be positive, got {args.shards}")
-    if args.resume and not args.cache_dir:
-        raise _usage_error("--resume requires --cache-dir")
     if args.bound < 1:
         raise _usage_error(f"--bound must be positive, got {args.bound}")
     if args.rounds < 1:
         raise _usage_error(f"--rounds must be positive, got {args.rounds}")
     if args.attempts < 1:
         raise _usage_error(f"--attempts must be positive, got {args.attempts}")
-    store = _store(args)
+    store, retry, faults = _orchestration(args)
 
     config = FuzzConfig(
         seed=args.seed,
@@ -638,7 +620,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         symmetry=not args.no_symmetry,
     )
     obs = _observation(args)
-    retry, faults = _resilience(args)
     with obs:
         result = run_fuzz(
             config,

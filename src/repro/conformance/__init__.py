@@ -20,10 +20,11 @@ built so far:
   records, exactly like synthesized suites;
 * :class:`ConformanceCell` / :class:`Refinement` — one pair's
   Agreement-bucketed counts and refinement verdict at a bound;
-* :func:`run_diff` — sharded, store-cached execution of one pair;
 * :func:`run_all_pairs` / :class:`ConformanceMatrix` — the catalog-wide
   matrix (one fused enumeration shared by all 20 catalog pairs) with
   axiom-subset consistency obligations;
+* :func:`run_diff` — its one-pair call: sharded, store-cached execution
+  of one pair;
 * the ``repro diff`` CLI command front-ends all of it.
 """
 
@@ -47,17 +48,13 @@ from .merge import merge_diff_shards
 from .runner import (
     DiffRunResult,
     catalog_pairs,
-    diff_entry_key,
     diff_identity,
-    execute_shard_tasks,
     run_all_pairs,
     run_diff,
 )
 from .worker import (
     DiffShardResult,
-    DiffShardTask,
     MultiDiffShardTask,
-    run_diff_shard,
     run_multi_diff_shard,
 )
 
@@ -68,23 +65,19 @@ __all__ = [
     "DiffOutcome",
     "DiffRunResult",
     "DiffShardResult",
-    "DiffShardTask",
     "MultiDiffShardTask",
     "Refinement",
     "axiom_subset",
     "catalog_pairs",
     "cell_to_json",
-    "diff_entry_key",
     "diff_identity",
     "diff_models",
-    "execute_shard_tasks",
     "expected_refinements",
     "finalize_cell",
     "merge_diff_shards",
     "run_all_pairs",
     "run_diff",
     "run_diff_pipeline",
-    "run_diff_shard",
     "run_multi_diff_pipeline",
     "run_multi_diff_shard",
 ]

@@ -1,60 +1,52 @@
-"""The differential orchestrator: sharded pair runs and the all-pairs
-conformance matrix.
+"""The differential orchestrator: the all-pairs conformance matrix and
+its one-pair call, a sharded single-pair diff.
 
-``run_diff`` scales one (reference, subject) differential pass across
-cores exactly like :func:`repro.orchestrate.run_sharded` scales a
-synthesis run: deterministic shard plan, suite-store reuse of finished
-cells and shards, spawn pool (or inline execution), serial-equivalent
-merge.
-
-``run_all_pairs`` fans every ordered pair of a model catalog through one
-worker pool: cells already in the store are loaded, the remaining pairs
-are planned with the pair-aware shard planner
-(:func:`repro.orchestrate.plan_pair_shards` — per-pair strides sized so
-total work units match the pool, since pair-level fan-out already
-parallelizes), every pending (pair, shard) task is submitted up front so
-shards of different pairs interleave freely, and the merged cells land
+``run_all_pairs`` fans every ordered pair of a model catalog through the
+shard executor (:func:`repro.orchestrate.execute_plan`): cells already in
+the store are loaded, the remaining pairs share one shard plan (per-pair
+strides sized so total work units match the pool, since pair-level
+fan-out already parallelizes), each shard spec becomes one fused task
+covering every pair still missing that shard, and the merged cells land
 in a deterministic :class:`~repro.conformance.matrix.ConformanceMatrix`.
+
+``run_diff`` is the one-pair call of the same driver: same plan, same
+store keys, same serial-equivalent merge.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor
-from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SynthesisError
 from ..models import MemoryModel, catalog_models
-from ..obs import ProgressReporter, current_registry, current_tracer
+from ..orchestrate.executor import execute_plan, wall_deadline
 from ..orchestrate.merge import MergeReport
-from ..resilience import (
-    FailureRecord,
-    FaultPlan,
-    PoolManager,
-    ResilienceStats,
-    RetryPolicy,
-    run_resilient_tasks,
-)
-from ..orchestrate.shards import ShardSpec, plan_pair_shards, plan_shards
+from ..orchestrate.shards import ShardSpec, plan_shards
 from ..orchestrate.store import (
     KIND_DIFF_CELL,
     KIND_DIFF_SHARD,
     SuiteStore,
     config_identity,
-    identity_key,
+)
+from ..resilience import (
+    FailureRecord,
+    FaultPlan,
+    ResilienceStats,
+    RetryPolicy,
 )
 from ..synth import SynthesisConfig
 from .diff import ConformanceCell, DiffConfig
 from .matrix import ConformanceMatrix
 from .merge import merge_diff_shards
-from .worker import (
-    DiffShardResult,
-    DiffShardTask,
-    MultiDiffShardTask,
-    run_diff_shard,
-    run_multi_diff_shard,
-)
+from .worker import DiffShardResult, MultiDiffShardTask, run_multi_diff_shard
+
+# Nothing here calls run_resilient_tasks (the shard executor does).  It
+# stays importable from this module only because the end-to-end
+# benchmark's span map (bench_e2e/layers.py, "orchestrate.schedule")
+# wraps it at this module's path.
+from ..resilience import run_resilient_tasks  # noqa: F401
 
 Pair = Tuple[str, str]
 
@@ -69,61 +61,6 @@ def diff_identity(diff: DiffConfig) -> dict:
     identity["subject"] = diff.subject.name
     identity["subject_axioms"] = list(diff.subject.axiom_names)
     return identity
-
-
-def diff_entry_key(
-    diff: DiffConfig, kind: str, spec: Optional[ShardSpec] = None
-) -> str:
-    identity = diff_identity(diff)
-    identity["kind"] = kind
-    if spec is not None:
-        identity["shard"] = asdict(spec)
-    return identity_key(identity)
-
-
-def _load_cell(store: SuiteStore, diff: DiffConfig):
-    return store.get(diff_entry_key(diff, KIND_DIFF_CELL))
-
-
-def _save_cell(store: SuiteStore, diff: DiffConfig, cell: ConformanceCell) -> None:
-    if cell.stats.timed_out or cell.stats.degraded:
-        return  # partial/degraded work must not satisfy a complete run
-    store.put(
-        diff_entry_key(diff, KIND_DIFF_CELL),
-        cell,
-        {
-            "kind": KIND_DIFF_CELL,
-            "identity": diff_identity(diff),
-            "discriminating": cell.count,
-            "runtime_s": cell.stats.runtime_s,
-        },
-    )
-
-
-def _load_shard(store: SuiteStore, diff: DiffConfig, spec: ShardSpec):
-    return store.get(diff_entry_key(diff, KIND_DIFF_SHARD, spec))
-
-
-def _save_shard(
-    store: SuiteStore, diff: DiffConfig, spec: ShardSpec, shard: DiffShardResult
-) -> None:
-    if shard.stats.timed_out:
-        return
-    # Spans describe one concrete run and must not replay from cache;
-    # the metrics registry is kept (snapshot-replay, like the counters).
-    if shard.spans is not None:
-        shard = replace(shard, spans=None)
-    store.put(
-        diff_entry_key(diff, KIND_DIFF_SHARD, spec),
-        shard,
-        {
-            "kind": KIND_DIFF_SHARD,
-            "identity": diff_identity(diff),
-            "shard": asdict(spec),
-            "discriminating": len(shard.elts),
-            "runtime_s": shard.runtime_s,
-        },
-    )
 
 
 @dataclass
@@ -152,154 +89,113 @@ class DiffRunResult:
         return bool(self.failures)
 
 
-def execute_shard_tasks(
-    tasks: List,
-    jobs: int,
-    executor: Optional[Union[Executor, PoolManager]] = None,
-    worker=run_diff_shard,
-    progress: Optional[ProgressReporter] = None,
+def run_diffs(
+    diffs: Sequence[DiffConfig],
+    jobs: int = 1,
+    shard_count: Optional[int] = None,
+    store: Optional[SuiteStore] = None,
     retry: Optional[RetryPolicy] = None,
-):
-    """Run shard tasks inline (``jobs == 1``) or on a rebuildable spawn
-    pool through the resilient scheduler
-    (:func:`repro.resilience.run_resilient_tasks`), creating and tearing
-    down the pool only when the caller did not share one.  Returns
-    ``(results, failures, stats)`` with results in task order (a ``None``
-    slot is a quarantined task, listed in ``failures``) — the single
-    execution policy behind :func:`run_diff`, :func:`run_all_pairs`
-    (which passes the fused multi-pair worker), and the fuzz runner
-    (:func:`repro.fuzz.run_fuzz`, which passes the fuzz shard worker)."""
-    pool: Optional[PoolManager] = None
-    if isinstance(executor, PoolManager):
-        pool = executor
-    elif executor is not None:
-        pool = PoolManager(jobs, executor=executor)
-    own_pool: Optional[PoolManager] = None
-    try:
-        if tasks and jobs > 1 and pool is None:
-            pool = own_pool = PoolManager(jobs)
-        outcome = run_resilient_tasks(
-            list(enumerate(tasks)),
-            worker=worker,
-            jobs=jobs,
-            policy=retry,
-            pool=pool,
-            progress=progress,
+    faults: Optional[FaultPlan] = None,
+) -> List[DiffRunResult]:
+    """Run several differential passes over one shared shard plan (the
+    driver behind :func:`run_all_pairs` and :func:`run_diff`).
+
+    Every diff must share the base enumeration knobs (bound, thread/VA
+    caps, witness backend, time budget); only the model pair varies.
+    Scheduling is *fused*: each shard spec becomes one
+    :class:`~repro.conformance.worker.MultiDiffShardTask` covering every
+    diff still missing that shard, so the shard's program slice is
+    enumerated — and, under the SAT backend, translated — once for all
+    of them instead of once per pair (the per-pair merge, store keys,
+    and output bytes are unchanged).  Consequently ``time_budget_s``
+    bounds each fused task rather than each (pair, shard) separately.
+    """
+    if jobs < 1:
+        raise SynthesisError(f"jobs must be positive, got {jobs}")
+    started = time.monotonic()
+    identities = [diff_identity(diff) for diff in diffs]
+    records: List[Optional[DiffRunResult]] = [None] * len(diffs)
+    if store is not None:
+        for index, identity in enumerate(identities):
+            cell = store.load(identity, KIND_DIFF_CELL)
+            if cell is not None:
+                report = MergeReport(shard_count=0, shard_elts=cell.count)
+                records[index] = DiffRunResult(
+                    cell=cell, report=report, jobs=jobs, cell_cache_hit=True
+                )
+    remaining = [index for index, record in enumerate(records) if record is None]
+    if not remaining:
+        return records
+
+    specs = plan_shards(jobs, shard_count=shard_count, queries=len(remaining))
+    deadline = wall_deadline(diffs[0].base.time_budget_s)
+    # Shards carry their own deadline; see repro.orchestrate.runner.
+    shard_diffs = [
+        replace(diffs[index], base=replace(diffs[index].base, time_budget_s=None))
+        for index in remaining
+    ]
+
+    def make_task(spec: ShardSpec, queries: list, observe: bool):
+        return MultiDiffShardTask(
+            diffs=tuple(shard_diffs[query] for query in queries),
+            spec=spec,
+            wall_deadline=deadline,
+            observe=observe,
+            faults=faults,
         )
-        results: List = [
-            outcome.results.get(index) for index in range(len(tasks))
-        ]
-        return results, outcome.failures, outcome.stats
-    finally:
-        if progress is not None:
-            progress.finish()
-        if own_pool is not None:
-            own_pool.shutdown()
+
+    plan = execute_plan(
+        specs,
+        [diff_identity(diff) for diff in shard_diffs],
+        make_task,
+        run_multi_diff_shard,
+        kind=KIND_DIFF_SHARD,
+        jobs=jobs,
+        store=store,
+        retry=retry,
+        progress="diff",
+    )
+    for query, index in enumerate(remaining):
+        cell, report = merge_diff_shards(
+            diffs[index],
+            [shard for shard in plan.results[query] if shard is not None],
+            runtime_s=time.monotonic() - started,
+            failures=plan.failures[query],
+        )
+        if store is not None:
+            store.save(identities[index], KIND_DIFF_CELL, cell)
+        records[index] = DiffRunResult(
+            cell=cell,
+            report=report,
+            jobs=jobs,
+            shard_specs=list(specs),
+            shard_cache_hits=plan.hits[query],
+            shard_cache_misses=plan.misses[query],
+            failures=plan.failures[query],
+            resilience=plan.resilience,
+        )
+    return records
 
 
 def run_diff(
     diff: DiffConfig,
     jobs: int = 1,
     shard_count: Optional[int] = None,
-    fanout_split: int = 1,
     store: Optional[SuiteStore] = None,
-    executor: Optional[Union[Executor, PoolManager]] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ) -> DiffRunResult:
-    """Run one differential pass across ``jobs`` workers (the diff
-    analogue of :func:`repro.orchestrate.run_sharded`, same caching,
-    executor-sharing, and retry/degradation semantics)."""
-    if jobs < 1:
-        raise SynthesisError(f"jobs must be positive, got {jobs}")
-    started = time.monotonic()
-
-    if store is not None:
-        cached = _load_cell(store, diff)
-        if cached is not None:
-            report = MergeReport(shard_count=0, shard_elts=cached.count)
-            return DiffRunResult(
-                cell=cached, report=report, jobs=jobs, cell_cache_hit=True
-            )
-
-    specs = plan_shards(jobs, shard_count=shard_count, fanout_split=fanout_split)
-    wall_deadline = (
-        None
-        if diff.base.time_budget_s is None
-        else time.time() + diff.base.time_budget_s
-    )
-    # Shards carry their own deadline; see repro.orchestrate.runner.
-    shard_diff = replace(diff, base=replace(diff.base, time_budget_s=None))
-
-    observe = bool(current_tracer()) or bool(current_registry())
-    shard_results: List[Optional[DiffShardResult]] = [None] * len(specs)
-    pending: List[Tuple[int, DiffShardTask]] = []
-    hits = misses = 0
-    for index, spec in enumerate(specs):
-        cached_shard = _load_shard(store, shard_diff, spec) if store else None
-        if cached_shard is not None:
-            shard_results[index] = cached_shard
-            hits += 1
-        else:
-            if store is not None:
-                misses += 1
-            pending.append(
-                (
-                    index,
-                    DiffShardTask(
-                        shard_diff,
-                        spec,
-                        wall_deadline,
-                        observe=observe,
-                        faults=faults,
-                    ),
-                )
-            )
-
-    progress = ProgressReporter("diff", len(specs))
-    progress.done = len(specs) - len(pending)
-    executed, failures, resilience = execute_shard_tasks(
-        [task for _index, task in pending],
-        jobs,
-        executor=executor,
-        progress=progress,
-        retry=retry,
-    )
-    for (index, _task), shard in zip(pending, executed):
-        shard_results[index] = shard
-
-    completed = [shard for shard in shard_results if shard is not None]
-    if observe:
-        # Reassemble worker observability in deterministic shard order.
-        tracer = current_tracer()
-        registry = current_registry()
-        for shard in shard_results:
-            if shard is None:
-                continue
-            tracer.adopt(getattr(shard, "spans", None))
-            registry.absorb(getattr(shard, "metrics", None))
-    if store is not None:
-        for index, task in pending:
-            shard = shard_results[index]
-            if shard is not None:
-                _save_shard(store, shard_diff, shard.spec, shard)
-
-    runtime_s = time.monotonic() - started
-    cell, report = merge_diff_shards(
-        diff, completed, runtime_s=runtime_s, failures=failures
-    )
-    if store is not None:
-        _save_cell(store, diff, cell)
-    return DiffRunResult(
-        cell=cell,
-        report=report,
+    """Run one differential pass across ``jobs`` workers: the one-pair
+    call of :func:`run_diffs` (same caching and retry/degradation
+    semantics as :func:`repro.orchestrate.run_sharded`)."""
+    return run_diffs(
+        [diff],
         jobs=jobs,
-        shard_specs=list(specs),
-        shard_cache_hits=hits,
-        shard_cache_misses=misses,
-        failures=list(failures),
-        resilience=resilience,
-    )
+        shard_count=shard_count,
+        store=store,
+        retry=retry,
+        faults=faults,
+    )[0]
 
 
 def catalog_pairs(models: Mapping[str, MemoryModel]) -> List[Pair]:
@@ -313,7 +209,6 @@ def run_all_pairs(
     models: Optional[Mapping[str, MemoryModel]] = None,
     jobs: int = 1,
     shard_count: Optional[int] = None,
-    fanout_split: int = 1,
     store: Optional[SuiteStore] = None,
     pairs: Optional[List[Pair]] = None,
     retry: Optional[RetryPolicy] = None,
@@ -326,182 +221,27 @@ def run_all_pairs(
     each pair's reference.  Returns the matrix plus per-pair run records
     in pair order.  With a ``store``, finished cells and shards are
     reused, making an interrupted ``--all-pairs`` run resumable by
-    rerunning the same command.
-
-    Scheduling is *fused*: each shard spec becomes one
-    :class:`~repro.conformance.worker.MultiDiffShardTask` covering every
-    pair still missing that shard, so the shard's program slice is
-    enumerated — and, under the SAT backend, translated — once for all
-    of them instead of once per pair (the per-pair merge, store keys,
-    and output bytes are unchanged).  Consequently ``time_budget_s``
-    bounds each fused task rather than each (pair, shard) separately.
+    rerunning the same command.  All pairs run fused through
+    :func:`run_diffs`.
     """
-    if jobs < 1:
-        raise SynthesisError(f"jobs must be positive, got {jobs}")
     if models is None:
         models = catalog_models()
     if pairs is None:
         pairs = catalog_pairs(models)
     if not pairs:
         raise SynthesisError("all-pairs run needs at least one model pair")
-
-    diffs: Dict[Pair, DiffConfig] = {
-        (ref, sub): DiffConfig(
-            base=replace(base, model=models[ref]), subject=models[sub]
-        )
-        for ref, sub in pairs
-    }
-
-    results: Dict[Pair, DiffRunResult] = {}
-    remaining = list(pairs)
-    if store is not None:
-        for pair in pairs:
-            cached = _load_cell(store, diffs[pair])
-            if cached is not None:
-                report = MergeReport(shard_count=0, shard_elts=cached.count)
-                results[pair] = DiffRunResult(
-                    cell=cached, report=report, jobs=jobs, cell_cache_hit=True
-                )
-        remaining = [pair for pair in pairs if pair not in results]
-
-    if remaining:
-        specs = plan_pair_shards(
-            jobs,
-            len(remaining),
-            shard_count=shard_count,
-            fanout_split=fanout_split,
-        )
-        shard_results: Dict[Pair, List[Optional[DiffShardResult]]] = {
-            pair: [None] * len(specs) for pair in remaining
-        }
-        hits: Dict[Pair, int] = {pair: 0 for pair in remaining}
-        misses: Dict[Pair, int] = {pair: 0 for pair in remaining}
-        started: Dict[Pair, float] = {}
-        shard_diffs: Dict[Pair, DiffConfig] = {}
-        pending_by_pair: Dict[Pair, List[int]] = {
-            pair: [] for pair in remaining
-        }
-        pending_pairs_by_index: Dict[int, List[Pair]] = {}
-        wall_deadline = (
-            None
-            if base.time_budget_s is None
-            else time.time() + base.time_budget_s
-        )
-        for pair in remaining:
-            started[pair] = time.monotonic()
-            diff = diffs[pair]
-            shard_diff = replace(
-                diff, base=replace(diff.base, time_budget_s=None)
-            )
-            shard_diffs[pair] = shard_diff
-            for index, spec in enumerate(specs):
-                cached_shard = (
-                    _load_shard(store, shard_diff, spec) if store else None
-                )
-                if cached_shard is not None:
-                    shard_results[pair][index] = cached_shard
-                    hits[pair] += 1
-                else:
-                    if store is not None:
-                        misses[pair] += 1
-                    pending_pairs_by_index.setdefault(index, []).append(pair)
-                    pending_by_pair[pair].append(index)
-
-        # One *fused* task per shard spec: its program slice is enumerated
-        # (and, under the SAT backend, translated) once for every pair
-        # still missing that shard, instead of once per pair.  The shared
-        # budget spans each fused task, and per-pair results land under
-        # the same store keys the per-pair tasks used.
-        observe = bool(current_tracer()) or bool(current_registry())
-        tasks: List[MultiDiffShardTask] = []
-        task_slots: List[Tuple[int, List[Pair]]] = []
-        for index in sorted(pending_pairs_by_index):
-            pairs_here = pending_pairs_by_index[index]
-            tasks.append(
-                MultiDiffShardTask(
-                    diffs=tuple(shard_diffs[pair] for pair in pairs_here),
-                    spec=specs[index],
-                    wall_deadline=wall_deadline,
-                    observe=observe,
-                    faults=faults,
-                )
-            )
-            task_slots.append((index, pairs_here))
-
-        progress = ProgressReporter("all-pairs", len(tasks))
-        executed, failures, resilience = execute_shard_tasks(
-            tasks,
-            jobs,
-            worker=run_multi_diff_shard,
-            progress=progress,
-            retry=retry,
-        )
-        for (index, pairs_here), task_results in zip(task_slots, executed):
-            for pair, shard in zip(pairs_here, task_results or ()):
-                shard_results[pair][index] = shard
-
-        # A quarantined *fused* task degrades every pair that was riding
-        # on it: map failures back through the task's pair list.
-        failures_by_pair: Dict[Pair, List[FailureRecord]] = {
-            pair: [] for pair in remaining
-        }
-        pairs_by_label = {
-            specs[index].label: pairs_here for index, pairs_here in task_slots
-        }
-        for failure in failures:
-            for pair in pairs_by_label.get(failure.label, ()):
-                failures_by_pair[pair].append(failure)
-
-        if observe:
-            # One lane per fused task (its batch rides on the first
-            # pair's result), adopted in sorted-shard-index order; metrics
-            # from cached shards replay through absorb as well.
-            tracer = current_tracer()
-            registry = current_registry()
-            for task_results in executed:
-                for shard in task_results or ():
-                    tracer.adopt(getattr(shard, "spans", None))
-                    registry.absorb(getattr(shard, "metrics", None))
-            for pair in remaining:
-                for index in range(len(specs)):
-                    if index in pending_by_pair[pair]:
-                        continue
-                    shard = shard_results[pair][index]
-                    if shard is not None:
-                        registry.absorb(getattr(shard, "metrics", None))
-
-        for pair in remaining:
-            diff = diffs[pair]
-            completed = [s for s in shard_results[pair] if s is not None]
-            if store is not None:
-                for index in pending_by_pair[pair]:
-                    shard = shard_results[pair][index]
-                    if shard is not None:
-                        _save_shard(
-                            store, shard_diffs[pair], shard.spec, shard
-                        )
-            cell, report = merge_diff_shards(
-                diff,
-                completed,
-                runtime_s=time.monotonic() - started[pair],
-                failures=failures_by_pair[pair],
-            )
-            if store is not None:
-                _save_cell(store, diff, cell)
-            results[pair] = DiffRunResult(
-                cell=cell,
-                report=report,
-                jobs=jobs,
-                shard_specs=list(specs),
-                shard_cache_hits=hits[pair],
-                shard_cache_misses=misses[pair],
-                failures=list(failures_by_pair[pair]),
-                resilience=resilience,
-            )
-
-    matrix = ConformanceMatrix(
-        models=tuple(models), bound=base.bound
+    records = run_diffs(
+        [
+            DiffConfig(base=replace(base, model=models[ref]), subject=models[sub])
+            for ref, sub in pairs
+        ],
+        jobs=jobs,
+        shard_count=shard_count,
+        store=store,
+        retry=retry,
+        faults=faults,
     )
-    for pair in pairs:
-        matrix.cells[pair] = results[pair].cell
-    return matrix, [results[pair] for pair in pairs]
+    matrix = ConformanceMatrix(models=tuple(models), bound=base.bound)
+    for pair, record in zip(pairs, records):
+        matrix.cells[pair] = record.cell
+    return matrix, records

@@ -1,10 +1,10 @@
 """Spawn-safe differential shard execution.
 
 The differential analogue of :mod:`repro.orchestrate.worker`: a worker
-process receives a pickled :class:`DiffShardTask` (one pair) or
-:class:`MultiDiffShardTask` (every pending pair of one shard), runs the
-fused diff pipeline over the shard's slice of the program stream, and
-returns one :class:`DiffShardResult` per pair — a synthesis
+process receives a pickled :class:`MultiDiffShardTask` (every pending
+pair of one shard — a single-pair diff sends one pair), runs the fused
+diff pipeline over the shard's slice of the program stream, and returns
+one :class:`DiffShardResult` per pair — a synthesis
 :class:`~repro.orchestrate.worker.ShardResult` (discriminating ELTs with
 their enumeration order keys, raw bucket counters) plus the asymmetric
 key sets: everything the merge layer needs to reconstruct the serial
@@ -24,35 +24,18 @@ from typing import Optional, Set
 from ..orchestrate.shards import ShardSpec, shard_programs
 from ..orchestrate.worker import ShardResult, observe_shard, shard_elts
 from ..resilience import FaultPlan
-from .diff import DiffConfig, run_multi_diff_pipeline
-
-
-@dataclass(frozen=True)
-class DiffShardTask:
-    """One unit of differential work shipped to a worker process."""
-
-    diff: DiffConfig
-    spec: ShardSpec
-    #: Absolute wall-clock deadline (``time.time()``), or None.
-    wall_deadline: Optional[float] = None
-    #: Collect spans/metrics in the worker and ship them on the result.
-    observe: bool = False
-    #: Which (re)submission this is (stamped by the resilient scheduler).
-    attempt: int = 1
-    #: Seeded chaos harness; consulted on worker entry when set.
-    faults: Optional[FaultPlan] = None
+from .diff import run_multi_diff_pipeline
 
 
 @dataclass(frozen=True)
 class MultiDiffShardTask:
     """One *fused* unit: every pending pair's share of one shard.
 
-    The all-pairs driver ships one of these per shard spec instead of one
-    :class:`DiffShardTask` per (pair, shard): the worker enumerates the
-    shard's program slice (and translates it, under the SAT backend)
-    once, classifying each witness under every pair in the task.  All
-    diffs share the base enumeration config; the deadline spans the whole
-    fused task.
+    The diff driver ships one of these per shard spec, not one per
+    (pair, shard): the worker enumerates the shard's program slice (and
+    translates it, under the SAT backend) once, classifying each witness
+    under every pair in the task.  All diffs share the base enumeration
+    config; the deadline spans the whole fused task.
     """
 
     diffs: tuple  # tuple[DiffConfig, ...], in pair order
@@ -76,14 +59,14 @@ class DiffShardResult(ShardResult):
     subject_only_keys: Set[tuple] = field(default_factory=set)
 
 
-def _run_diffs(task, diffs: tuple) -> list:
-    """Run ``diffs`` over the task's shard in one fused pass; one
-    :class:`DiffShardResult` per diff, in order.  ``runtime_s`` is the
-    pass's wall time split evenly across its pairs (per-pair sums
-    reflect the work actually done once, at the cost of per-pair
-    attribution), and SAT counters follow
-    :func:`~repro.synth.engine.run_queries`' lead-query-translations /
-    rest-avoided convention."""
+def run_multi_diff_shard(task: MultiDiffShardTask) -> list:
+    """Execute one fused shard (in-process or in a worker): the shard's
+    program slice enumerated once, classified under every pair; returns
+    one :class:`DiffShardResult` per pair, in task order, each carrying
+    the elts, keys, and agreement counters a dedicated single-pair shard
+    would have produced.  ``runtime_s`` is the pass's wall time split
+    evenly across its pairs (per-pair sums reflect the work actually done
+    once, at the cost of per-pair attribution)."""
     spec = task.spec
     if task.faults is not None:
         task.faults.apply_worker_fault(spec.label, task.attempt)
@@ -94,14 +77,14 @@ def _run_diffs(task, diffs: tuple) -> list:
     tracer, registry, restore = observe_shard(spec, task.observe)
     try:
         span = (
-            tracer.begin("shard", category="orchestrate", pairs=len(diffs))
+            tracer.begin("shard", category="orchestrate", pairs=len(task.diffs))
             if tracer
             else None
         )
         try:
             outcomes = run_multi_diff_pipeline(
-                list(diffs),
-                shard_programs(diffs[0].base, spec),
+                list(task.diffs),
+                shard_programs(task.diffs[0].base, spec),
                 deadline=deadline,
             )
         finally:
@@ -131,14 +114,7 @@ def _run_diffs(task, diffs: tuple) -> list:
     return results
 
 
-def run_diff_shard(task: DiffShardTask) -> DiffShardResult:
-    """Execute one differential shard (in-process or in a worker)."""
-    return _run_diffs(task, (task.diff,))[0]
-
-
-def run_multi_diff_shard(task: MultiDiffShardTask) -> list:
-    """Execute one fused shard: the shard's program slice enumerated once,
-    classified under every pair; returns one :class:`DiffShardResult` per
-    pair, in task order, each carrying the elts, keys, and agreement
-    counters its dedicated single-pair shard would have produced."""
-    return _run_diffs(task, task.diffs)
+# Every diff runs through run_multi_diff_shard.  This name stays only
+# because the end-to-end benchmark's span map (bench_e2e/layers.py,
+# WORKER_ENTRIES) wraps it at this module's path.
+run_diff_shard = run_multi_diff_shard

@@ -1,12 +1,11 @@
 """The fuzz orchestrator: coverage-guided rounds over sharded workers.
 
 ``run_fuzz`` scales a coverage-guided differential fuzz run across cores
-with the exact machinery :func:`repro.conformance.run_diff` uses —
-deterministic shard plan (:func:`repro.orchestrate.plan_shards`), the
-shared resilient executor
-(:func:`repro.conformance.execute_shard_tasks`: spawn pool, retries,
-quarantine), and suite-store reuse of finished (round, shard) slices and
-whole runs under the new fuzz store kinds.
+with the exact machinery every sharded run uses — deterministic shard
+plan (:func:`repro.orchestrate.plan_shards`) and, for each round, the
+one shard executor (:func:`repro.orchestrate.execute_plan`: suite-store
+reuse of finished (round, shard) slices, spawn pool, retries,
+quarantine) — plus a store entry for the whole run.
 
 The determinism contract, end to end:
 
@@ -28,20 +27,19 @@ scheduling-flavored counters (memo hits, runtimes) may differ.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import SynthesisError
 from ..mtm import Execution, Program
-from ..obs import ProgressReporter, current_registry, current_tracer
+from ..obs import current_registry
+from ..orchestrate.executor import execute_plan, wall_deadline
 from ..orchestrate.shards import ShardSpec, plan_shards
 from ..orchestrate.store import (
     KIND_FUZZ_RUN,
     KIND_FUZZ_SHARD,
     SuiteStore,
-    identity_key,
 )
-from ..conformance.runner import execute_shard_tasks
 from ..resilience import (
     FailureRecord,
     FaultPlan,
@@ -53,20 +51,9 @@ from .coverage import CoverageMap, class_digest
 from .worker import FuzzShardResult, FuzzShardTask, run_fuzz_shard
 
 
-def fuzz_entry_key(
-    config: FuzzConfig,
-    kind: str,
-    spec: Optional[ShardSpec] = None,
-    round_index: Optional[int] = None,
-) -> str:
-    """The store key for a fuzz run or one of its (round, shard) slices."""
-    identity = fuzz_identity(config)
-    identity["kind"] = kind
-    if round_index is not None:
-        identity["round"] = round_index
-    if spec is not None:
-        identity["shard"] = asdict(spec)
-    return identity_key(identity)
+def round_identity(config: FuzzConfig, round_index: int) -> dict:
+    """The store identity of one round's (round, shard) slices."""
+    return dict(fuzz_identity(config), round=round_index)
 
 
 @dataclass
@@ -190,24 +177,20 @@ def run_fuzz(
         raise SynthesisError(f"jobs must be positive, got {jobs}")
     started = time.monotonic()
 
+    identity = fuzz_identity(config)
     if store is not None:
-        cached = store.get(fuzz_entry_key(config, KIND_FUZZ_RUN))
+        cached = store.load(identity, KIND_FUZZ_RUN)
         if cached is not None:
             cached.run_cache_hit = True
             cached.jobs = jobs
             return cached
 
     specs = plan_shards(jobs, shard_count=shard_count)
-    wall_deadline = (
-        None
-        if config.time_budget_s is None
-        else time.time() + config.time_budget_s
-    )
+    deadline = wall_deadline(config.time_budget_s)
     # (round, shard) slices carry their own deadline and cache under the
     # budget-free identity, like diff shards.
     shard_config = replace(config, time_budget_s=None)
 
-    observe = bool(current_tracer()) or bool(current_registry())
     result = FuzzRunResult(
         reference=config.reference.name,
         subject=config.subject.name,
@@ -221,90 +204,35 @@ def run_fuzz(
 
     for round_index in range(config.rounds):
         allocation = coverage.allocate(config.attempts_per_round)
-        round_shards: List[Optional[FuzzShardResult]] = [None] * len(specs)
-        pending: List[Tuple[int, FuzzShardTask]] = []
-        for index, spec in enumerate(specs):
-            cached_shard = (
-                store.get(
-                    fuzz_entry_key(
-                        shard_config, KIND_FUZZ_SHARD, spec, round_index
-                    )
-                )
-                if store is not None
-                else None
+
+        def make_task(spec: ShardSpec, _queries: list, observe: bool):
+            return FuzzShardTask(
+                config=shard_config,
+                round_index=round_index,
+                allocation=allocation,
+                spec=spec,
+                wall_deadline=deadline,
+                observe=observe,
+                faults=faults,
             )
-            if cached_shard is not None:
-                round_shards[index] = cached_shard
-                result.shard_cache_hits += 1
-            else:
-                if store is not None:
-                    result.shard_cache_misses += 1
-                pending.append(
-                    (
-                        index,
-                        FuzzShardTask(
-                            config=shard_config,
-                            round_index=round_index,
-                            allocation=allocation,
-                            spec=spec,
-                            wall_deadline=wall_deadline,
-                            observe=observe,
-                            faults=faults,
-                        ),
-                    )
-                )
 
-        progress = ProgressReporter(f"fuzz r{round_index}", len(specs))
-        progress.done = len(specs) - len(pending)
-        executed, failures, resilience = execute_shard_tasks(
-            [task for _index, task in pending],
-            jobs,
-            worker=run_fuzz_shard,
-            progress=progress,
+        plan = execute_plan(
+            specs,
+            [round_identity(shard_config, round_index)],
+            make_task,
+            run_fuzz_shard,
+            kind=KIND_FUZZ_SHARD,
+            jobs=jobs,
+            store=store,
             retry=retry,
+            progress=f"fuzz r{round_index}",
         )
-        result.resilience = resilience
-        result.failures.extend(failures)
-        for (index, _task), shard in zip(pending, executed):
-            round_shards[index] = shard
+        result.shard_cache_hits += plan.hits[0]
+        result.shard_cache_misses += plan.misses[0]
+        result.failures.extend(plan.failures[0])
+        result.resilience.absorb(plan.resilience)
 
-        if observe:
-            # Reassemble worker observability in deterministic shard order.
-            tracer = current_tracer()
-            registry = current_registry()
-            for shard in round_shards:
-                if shard is None:
-                    continue
-                tracer.adopt(getattr(shard, "spans", None))
-                registry.absorb(getattr(shard, "metrics", None))
-        if store is not None:
-            for index, _task in pending:
-                shard = round_shards[index]
-                if shard is None or shard.stats.timed_out:
-                    continue
-                # Spans describe one concrete run and must not replay
-                # from cache; the metrics registry is kept.
-                payload = (
-                    replace(shard, spans=None)
-                    if shard.spans is not None
-                    else shard
-                )
-                store.put(
-                    fuzz_entry_key(
-                        shard_config, KIND_FUZZ_SHARD, shard.spec, round_index
-                    ),
-                    payload,
-                    {
-                        "kind": KIND_FUZZ_SHARD,
-                        "identity": fuzz_identity(shard_config),
-                        "round": round_index,
-                        "shard": asdict(shard.spec),
-                        "records": len(shard.records),
-                        "runtime_s": shard.runtime_s,
-                    },
-                )
-
-        completed = [shard for shard in round_shards if shard is not None]
+        completed = [shard for shard in plan.results[0] if shard is not None]
         for shard in completed:
             stats.absorb(shard.stats)
         novelty = _merge_round(
@@ -333,17 +261,6 @@ def run_fuzz(
         "fuzz.findings", stats.findings, informational=True
     )
 
-    if store is not None and not (stats.timed_out or stats.degraded):
-        store.put(
-            fuzz_entry_key(config, KIND_FUZZ_RUN),
-            result,
-            {
-                "kind": KIND_FUZZ_RUN,
-                "identity": fuzz_identity(config),
-                "findings": stats.findings,
-                "classes": coverage.class_count,
-                "behaviors": coverage.behavior_count,
-                "runtime_s": stats.runtime_s,
-            },
-        )
+    if store is not None:
+        store.save(identity, KIND_FUZZ_RUN, result)
     return result

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
-import networkx as nx
-
 from ..errors import SynthesisError
 from ..mtm import Execution, Vocabulary, names
 from ..relational import TupleSet
@@ -86,6 +84,42 @@ class CycleExplanation:
         return f"{self.axiom} cycle:\n  {chain}"
 
 
+def find_cycle(
+    edges: Mapping[tuple[str, str], object]
+) -> Optional[list[tuple[str, str]]]:
+    """The first cycle a depth-first search meets, as a list of edges, or
+    None when the graph is acyclic.
+
+    Roots and successors are visited in the order the edges list them
+    (a node counts from its first appearance, source before target), so
+    the cycle is the one ``networkx.find_cycle`` reports for a graph
+    built by adding the same edges in the same order.
+    """
+    successors: dict[str, list[str]] = {}
+    for a, b in edges:
+        successors.setdefault(a, []).append(b)
+        successors.setdefault(b, [])
+    finished: set[str] = set()
+    for root in successors:
+        if root in finished:
+            continue
+        path = [root]
+        pending = [iter(successors[root])]
+        while pending:
+            for node in pending[-1]:
+                if node in path:
+                    loop = path[path.index(node):] + [node]
+                    return list(zip(loop, loop[1:]))
+                if node not in finished:
+                    path.append(node)
+                    pending.append(iter(successors[node]))
+                    break
+            else:
+                pending.pop()
+                finished.add(path.pop())
+    return None
+
+
 def explain_axiom_violation(
     execution: Execution, axiom_name: str
 ) -> Optional[CycleExplanation]:
@@ -97,15 +131,13 @@ def explain_axiom_violation(
             f"no edge components registered for axiom {axiom_name!r}"
         )
     components = component_fn(Vocabulary(execution.relations))
-    graph = nx.DiGraph()
     labels: dict[tuple[str, str], list[str]] = {}
+    # Sorted, so the reported cycle does not depend on the string hash.
     for label, relation in components.items():
-        for a, b in relation:
-            graph.add_edge(a, b)
+        for a, b in sorted(relation):
             labels.setdefault((a, b), []).append(label)
-    try:
-        cycle = nx.find_cycle(graph)
-    except nx.NetworkXNoCycle:
+    cycle = find_cycle(labels)
+    if cycle is None:
         return None
     edges = tuple(
         LabeledEdge(a, b, tuple(sorted(labels[(a, b)]))) for a, b in cycle

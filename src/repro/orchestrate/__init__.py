@@ -7,18 +7,21 @@ serial result.  This package provides:
 
 * :class:`ShardSpec` / :func:`plan_shards` / :func:`shard_programs` —
   deterministic partitioning of the enumeration space;
+* :func:`execute_plan` — the one shard executor behind every sharded
+  run (synthesis, differencing, fuzz rounds): store lookup, fused tasks,
+  retries, trace adoption, persistence;
 * :func:`run_shard` — the spawn-safe worker entry point;
 * :func:`merge_shards` — serial-equivalent cross-shard deduplication;
 * :class:`SuiteStore` — the persistent content-addressed result cache;
 * :func:`run_sharded` / :func:`run_sweep_sharded` — the orchestrator.
 """
 
+from .executor import PlanOutcome, execute_plan
 from .merge import MergeReport, merge_shards
 from .runner import OrchestratedResult, run_sharded, run_sweep_sharded
 from .shards import (
     DEFAULT_OVERSUBSCRIPTION,
     ShardSpec,
-    plan_pair_shards,
     plan_shards,
     shard_programs,
 )
@@ -32,8 +35,8 @@ from .store import (
     SCHEMA_VERSION,
     SuiteStore,
     config_identity,
-    entry_key,
     identity_key,
+    store_key,
 )
 from .worker import ShardElt, ShardResult, ShardTask, run_shard
 
@@ -47,6 +50,7 @@ __all__ = [
     "KIND_SUITE",
     "MergeReport",
     "OrchestratedResult",
+    "PlanOutcome",
     "SCHEMA_VERSION",
     "ShardElt",
     "ShardResult",
@@ -54,13 +58,13 @@ __all__ = [
     "ShardTask",
     "SuiteStore",
     "config_identity",
-    "entry_key",
+    "execute_plan",
     "identity_key",
     "merge_shards",
-    "plan_pair_shards",
     "plan_shards",
     "run_shard",
     "run_sharded",
     "run_sweep_sharded",
     "shard_programs",
+    "store_key",
 ]

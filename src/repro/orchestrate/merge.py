@@ -8,8 +8,8 @@ deduplicates on two levels: canonical execution keys (each distinct
 minimal key counts once) and canonical program keys (one
 :class:`SynthesizedElt` per program class).  Synthesis suites and
 differential cells are both lists of such entries, so
-:func:`merge_best` below is the one best-of-shards merge behind both
-orchestrators (:func:`merge_shards` here,
+:func:`merge_best` below is the one best-of-shards merge behind
+synthesis and diff runs (:func:`merge_shards` here,
 :func:`repro.conformance.merge_diff_shards` for diffs).
 
 Both keys are canonical — invariant under thread permutation and VA/PA/
@@ -69,7 +69,7 @@ def merge_best(
     runtime_s: float = 0.0,
     failures: Iterable[FailureRecord] = (),
 ) -> tuple[list, SuiteStats, MergeReport]:
-    """The best-of-shards merge behind both orchestrators: sum the shard
+    """The best-of-shards merge behind synthesis and diff runs: sum the shard
     stats, keep per program class the entry minimizing ``(rep_rank,
     order)``, and mark the stats ``degraded`` for every quarantined
     shard in ``failures``.  Returns ``(elts sorted by class key, stats,

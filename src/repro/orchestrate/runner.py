@@ -3,15 +3,15 @@
 ``run_sharded`` scales one (axiom, bound) synthesis across cores:
 
 1. plan deterministic shards (:mod:`.shards`);
-2. load any shard already completed by a previous interrupted run from
-   the :class:`~repro.orchestrate.store.SuiteStore`;
-3. execute the remaining shards through the retrying scheduler
-   (:func:`repro.resilience.run_resilient_tasks`) on a rebuildable
-   spawn pool (or inline when ``jobs == 1``) — worker crashes, pool
-   collapses, and stuck shards are retried under the run's
+2. hand the plan to the shard executor (:func:`.executor.execute_plan`),
+   which reuses shards completed by an earlier interrupted run from the
+   :class:`~repro.orchestrate.store.SuiteStore` and runs the rest through
+   the retrying scheduler (:func:`repro.resilience.run_resilient_tasks`)
+   on a rebuildable spawn pool (or inline when ``jobs == 1``) — worker
+   crashes, pool collapses, and stuck shards are retried under the run's
    :class:`~repro.resilience.RetryPolicy`;
-4. merge (:mod:`.merge`) into a suite provably identical to the serial
-   engine's, and persist both the shards and the merged suite.
+3. merge (:mod:`.merge`) into a suite provably identical to the serial
+   engine's, and persist the merged suite.
 
 A shard that exhausts its retries is *quarantined*: the run still
 merges every completed shard but the result is marked ``degraded``
@@ -29,24 +29,22 @@ rerunning the same command.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
 from ..errors import SynthesisError
-from ..obs import ProgressReporter, current_registry, current_tracer
 from ..resilience import (
     FailureRecord,
     FaultPlan,
     PoolManager,
     ResilienceStats,
     RetryPolicy,
-    run_resilient_tasks,
 )
 from ..synth import SuiteResult, SweepPoint, SweepResult, SynthesisConfig
+from .executor import execute_plan, wall_deadline
 from .merge import MergeReport, merge_shards
 from .shards import ShardSpec, plan_shards
-from .store import SuiteStore
+from .store import KIND_SHARD, KIND_SUITE, SuiteStore, config_identity
 from .worker import ShardResult, ShardTask, run_shard
 
 
@@ -75,25 +73,12 @@ class OrchestratedResult:
         return bool(self.failures)
 
 
-def _as_pool(
-    jobs: int, executor: Optional[Union[Executor, PoolManager]]
-) -> Optional[PoolManager]:
-    """Adapt the public ``executor=`` parameter (legacy Executor or a
-    shared PoolManager) to the scheduler's PoolManager interface."""
-    if executor is None:
-        return None
-    if isinstance(executor, PoolManager):
-        return executor
-    return PoolManager(jobs, executor=executor)
-
-
 def run_sharded(
     config: SynthesisConfig,
     jobs: int = 1,
     shard_count: Optional[int] = None,
-    fanout_split: int = 1,
     store: Optional[SuiteStore] = None,
-    executor: Optional[Union[Executor, PoolManager]] = None,
+    pool: Optional[PoolManager] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
 ) -> OrchestratedResult:
@@ -101,10 +86,10 @@ def run_sharded(
 
     With a ``store``, previously completed shards and suites are reused
     (cache counters on the store record how much); timed-out or degraded
-    results are never cached.  Pass an ``executor`` (an Executor or a
-    :class:`~repro.resilience.PoolManager`) to share one worker pool
-    across several calls (the sweep does); otherwise a spawn pool is
-    created on demand and torn down before returning.  ``retry``
+    results are never cached.  Pass a
+    :class:`~repro.resilience.PoolManager` as ``pool`` to share one
+    worker pool across several calls (the sweep does); otherwise a spawn
+    pool is created on demand and torn down before returning.  ``retry``
     configures the failure envelope (defaults to
     :data:`~repro.resilience.DEFAULT_RETRY_POLICY`); ``faults`` is the
     seeded ``--chaos`` fault-injection plan shipped to workers.
@@ -112,112 +97,53 @@ def run_sharded(
     if jobs < 1:
         raise SynthesisError(f"jobs must be positive, got {jobs}")
     started = time.monotonic()
-
+    identity = config_identity(config)
     if store is not None:
-        cached_suite = store.load_suite(config)
-        if cached_suite is not None:
-            report = MergeReport(shard_count=0, shard_elts=cached_suite.count)
+        cached = store.load(identity, KIND_SUITE)
+        if cached is not None:
+            report = MergeReport(shard_count=0, shard_elts=cached.count)
             return OrchestratedResult(
-                result=cached_suite,
-                report=report,
-                jobs=jobs,
-                suite_cache_hit=True,
+                result=cached, report=report, jobs=jobs, suite_cache_hit=True
             )
 
-    specs = plan_shards(jobs, shard_count=shard_count, fanout_split=fanout_split)
-    wall_deadline = (
-        None
-        if config.time_budget_s is None
-        else time.time() + config.time_budget_s
-    )
+    specs = plan_shards(jobs, shard_count=shard_count)
+    deadline = wall_deadline(config.time_budget_s)
     # Shards carry their own deadline; the config they run under must not
     # double-apply the budget through the serial path.
     shard_config = replace(config, time_budget_s=None)
 
-    # Propagate observation to workers: when the coordinating process is
-    # running under a live tracer/registry (a --trace run), each shard
-    # collects its own and ships them back on the result.
-    observe = bool(current_tracer()) or bool(current_registry())
+    def make_task(spec: ShardSpec, _queries: list, observe: bool) -> ShardTask:
+        return ShardTask(shard_config, spec, deadline, observe=observe, faults=faults)
 
-    shard_results: list[Optional[ShardResult]] = [None] * len(specs)
-    pending: list[tuple[int, ShardTask]] = []
-    hits = misses = 0
-    for index, spec in enumerate(specs):
-        cached = store.load_shard(shard_config, spec) if store else None
-        if cached is not None:
-            shard_results[index] = cached
-            hits += 1
-        else:
-            if store is not None:
-                misses += 1
-            pending.append(
-                (
-                    index,
-                    ShardTask(
-                        shard_config,
-                        spec,
-                        wall_deadline,
-                        observe=observe,
-                        faults=faults,
-                    ),
-                )
-            )
-
-    pool = _as_pool(jobs, executor)
-    own_pool: Optional[PoolManager] = None
-    progress = ProgressReporter("synthesize", len(specs))
-    progress.done = len(specs) - len(pending)
-    try:
-        if pending and jobs > 1 and pool is None:
-            pool = own_pool = PoolManager(jobs)
-        outcome = run_resilient_tasks(
-            pending,
-            worker=run_shard,
-            jobs=jobs,
-            policy=retry,
-            pool=pool,
-            progress=progress,
-        )
-        for index, shard in outcome.results.items():
-            shard_results[index] = shard
-    finally:
-        progress.finish()
-        if own_pool is not None:
-            own_pool.shutdown()
-
-    completed = [shard for shard in shard_results if shard is not None]
-    if observe:
-        # Reassemble worker observability in deterministic shard-plan
-        # order (lane assignment follows adoption order).  Cached shards
-        # carry no spans but replay their stored metrics.
-        tracer = current_tracer()
-        registry = current_registry()
-        for shard in shard_results:
-            if shard is None:
-                continue
-            tracer.adopt(getattr(shard, "spans", None))
-            registry.absorb(getattr(shard, "metrics", None))
-    if store is not None:
-        for index, task in pending:
-            shard = shard_results[index]
-            if shard is not None:
-                store.save_shard(shard_config, shard.spec, shard)
-
-    runtime_s = time.monotonic() - started
+    plan = execute_plan(
+        specs,
+        [config_identity(shard_config)],
+        make_task,
+        run_shard,
+        kind=KIND_SHARD,
+        jobs=jobs,
+        store=store,
+        pool=pool,
+        retry=retry,
+        progress="synthesize",
+    )
     result, report = merge_shards(
-        config, completed, runtime_s=runtime_s, failures=outcome.failures
+        config,
+        [shard for shard in plan.results[0] if shard is not None],
+        runtime_s=time.monotonic() - started,
+        failures=plan.failures[0],
     )
     if store is not None:
-        store.save_suite(config, result)
+        store.save(identity, KIND_SUITE, result)
     return OrchestratedResult(
         result=result,
         report=report,
         jobs=jobs,
         shard_specs=list(specs),
-        shard_cache_hits=hits,
-        shard_cache_misses=misses,
-        failures=list(outcome.failures),
-        resilience=outcome.stats,
+        shard_cache_hits=plan.hits[0],
+        shard_cache_misses=plan.misses[0],
+        failures=plan.failures[0],
+        resilience=plan.resilience,
     )
 
 
@@ -229,7 +155,6 @@ def run_sweep_sharded(
     time_budget_per_run_s: Optional[float] = None,
     jobs: int = 1,
     shard_count: Optional[int] = None,
-    fanout_split: int = 1,
     store: Optional[SuiteStore] = None,
     retry: Optional[RetryPolicy] = None,
     faults: Optional[FaultPlan] = None,
@@ -281,9 +206,8 @@ def run_sweep_sharded(
                     config,
                     jobs=jobs,
                     shard_count=shard_count,
-                    fanout_split=fanout_split,
                     store=store,
-                    executor=shared_pool,
+                    pool=shared_pool,
                     retry=retry,
                     faults=faults,
                 )

@@ -1,23 +1,18 @@
 """Deterministic partitioning of the synthesis enumeration space.
 
-A :class:`ShardSpec` names one independent work unit of a synthesis run
-by striding the two outer loops of program enumeration:
+A :class:`ShardSpec` names one independent work unit of a sharded run by
+striding the outer loop of program enumeration: the global base-skeleton
+index (across all thread counts) is taken modulo ``skeleton_count``, and
+a shard owns the indices congruent to ``skeleton_index``.  Every shard
+re-enumerates all skeletons but expands only its own: a skipped
+skeleton costs its generation, not its remap/TLB fan-out or witness
+checking.
 
-* **skeleton stride** — the global base-skeleton index (across all thread
-  counts) is taken modulo ``skeleton_count``; a shard owns the indices
-  congruent to ``skeleton_index``.  Skeleton enumeration is cheap relative
-  to the remap/TLB fan-out and witness checking behind each skeleton, so
-  every shard re-enumerates skeletons but expands only its own.
-* **fan-out stride** — within each owned skeleton, the (remap placement ×
-  TLB vector) expansion index is taken modulo ``fanout_count``.  Splitting
-  the fan-out lets the planner cut finer than one skeleton when a few
-  deep skeletons dominate the bound (their fan-out grows combinatorially
-  with PTE-write count and thread count).
-
-Shards are disjoint and jointly exhaustive by construction: every program
-has exactly one ``(skeleton_index % K, fanout_index % F)`` residue.  Order
-keys assigned by :func:`repro.synth.enumerate_programs_with_order` are
-identical no matter which shard enumerates a program, which is what lets
+Shards are disjoint and jointly exhaustive by construction: every
+program has exactly one ``skeleton_index % K`` residue.  Order keys
+``(skeleton_index, fanout_index)`` assigned by
+:func:`repro.synth.enumerate_programs_with_order` are identical no
+matter which shard enumerates a program, which is what lets
 :mod:`repro.orchestrate.merge` reconstruct serial enumeration order.
 """
 
@@ -38,99 +33,52 @@ DEFAULT_OVERSUBSCRIPTION = 4
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """One work unit: a (skeleton stride, fan-out stride) residue class."""
+    """One work unit: a skeleton-stride residue class."""
 
     skeleton_index: int
     skeleton_count: int
-    fanout_index: int = 0
-    fanout_count: int = 1
 
     def __post_init__(self) -> None:
-        if self.skeleton_count < 1 or self.fanout_count < 1:
+        if self.skeleton_count < 1:
             raise SynthesisError("shard stride counts must be positive")
         if not 0 <= self.skeleton_index < self.skeleton_count:
             raise SynthesisError(
                 f"skeleton_index {self.skeleton_index} outside "
                 f"[0, {self.skeleton_count})"
             )
-        if not 0 <= self.fanout_index < self.fanout_count:
-            raise SynthesisError(
-                f"fanout_index {self.fanout_index} outside "
-                f"[0, {self.fanout_count})"
-            )
 
     @property
     def label(self) -> str:
-        text = f"s{self.skeleton_index}/{self.skeleton_count}"
-        if self.fanout_count > 1:
-            text += f"+f{self.fanout_index}/{self.fanout_count}"
-        return text
-
-    def describe(self) -> str:
-        return (
-            f"skeletons ≡ {self.skeleton_index} (mod {self.skeleton_count})"
-            + (
-                f", fan-out ≡ {self.fanout_index} (mod {self.fanout_count})"
-                if self.fanout_count > 1
-                else ""
-            )
-        )
+        return f"s{self.skeleton_index}/{self.skeleton_count}"
 
 
 def plan_shards(
     jobs: int,
     shard_count: int | None = None,
-    fanout_split: int = 1,
+    queries: int = 1,
 ) -> list[ShardSpec]:
     """Plan the work units for a run with ``jobs`` workers.
 
-    ``shard_count`` overrides the skeleton-stride width (default:
-    ``jobs × DEFAULT_OVERSUBSCRIPTION`` when parallel, 1 when serial).
-    ``fanout_split`` additionally splits every skeleton's fan-out into
-    that many strides — useful at deep bounds where single skeletons
-    dominate.
+    ``shard_count`` overrides the skeleton-stride width.  By default a
+    serial run is one shard, and a parallel run aims at ``jobs ×
+    DEFAULT_OVERSUBSCRIPTION`` tasks: every shard runs all ``queries``
+    (the pairs of an all-pairs diff) in one fused task, and query-level
+    work already fills the pool, so the stride shrinks as the query count
+    grows.
     """
     if jobs < 1:
         raise SynthesisError(f"jobs must be positive, got {jobs}")
-    if fanout_split < 1:
-        raise SynthesisError(f"fanout_split must be positive, got {fanout_split}")
-    if shard_count is None:
-        shard_count = 1 if jobs == 1 else jobs * DEFAULT_OVERSUBSCRIPTION
-    if shard_count < 1:
-        raise SynthesisError(f"shard_count must be positive, got {shard_count}")
-    return [
-        ShardSpec(skeleton, shard_count, fanout, fanout_split)
-        for skeleton in range(shard_count)
-        for fanout in range(fanout_split)
-    ]
-
-
-def plan_pair_shards(
-    jobs: int,
-    pair_count: int,
-    shard_count: int | None = None,
-    fanout_split: int = 1,
-) -> list[ShardSpec]:
-    """Plan the per-pair work units of an all-pairs conformance run.
-
-    With ``pair_count`` model pairs each running the same bounded
-    enumeration, pair-level fan-out already provides most of the
-    parallelism; splitting every pair into the full single-run shard plan
-    would flood the pool with tiny tasks.  The planner therefore sizes
-    the per-pair stride so that *total* work units across all pairs land
-    near the usual ``jobs × DEFAULT_OVERSUBSCRIPTION`` target.  An
-    explicit ``shard_count`` overrides the heuristic (every pair uses the
-    same stride, keeping merges deterministic).
-    """
-    if pair_count < 1:
-        raise SynthesisError(f"pair_count must be positive, got {pair_count}")
+    if queries < 1:
+        raise SynthesisError(f"queries must be positive, got {queries}")
     if shard_count is None:
         if jobs == 1:
             shard_count = 1
         else:
             target = jobs * DEFAULT_OVERSUBSCRIPTION
-            shard_count = max(1, -(-target // pair_count))  # ceil division
-    return plan_shards(jobs, shard_count=shard_count, fanout_split=fanout_split)
+            shard_count = max(1, -(-target // queries))  # ceil division
+    if shard_count < 1:
+        raise SynthesisError(f"shard_count must be positive, got {shard_count}")
+    return [ShardSpec(index, shard_count) for index in range(shard_count)]
 
 
 def shard_programs(
@@ -142,11 +90,4 @@ def shard_programs(
         if spec.skeleton_count == 1
         else lambda index: index % spec.skeleton_count == spec.skeleton_index
     )
-    fanout_filter = (
-        None
-        if spec.fanout_count == 1
-        else lambda index: index % spec.fanout_count == spec.fanout_index
-    )
-    return enumerate_programs_with_order(
-        config, skeleton_filter=skeleton_filter, fanout_filter=fanout_filter
-    )
+    return enumerate_programs_with_order(config, skeleton_filter=skeleton_filter)

@@ -113,22 +113,20 @@ def config_identity(config: SynthesisConfig) -> dict[str, Any]:
 
 def identity_key(identity: dict[str, Any]) -> str:
     """Content-address an arbitrary JSON-safe identity dict (the raw
-    primitive behind :func:`entry_key`; conformance entries build their
-    own identity dicts and hash them through this)."""
+    primitive behind :func:`store_key`)."""
     rendered = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:32]
 
 
-def entry_key(
-    config: SynthesisConfig,
-    kind: str,
-    spec: Optional[ShardSpec] = None,
+def store_key(
+    identity: dict[str, Any], kind: str, spec: Optional[ShardSpec] = None
 ) -> str:
-    identity = config_identity(config)
-    identity["kind"] = kind
+    """The key of one entry: its identity dict plus its kind, and for a
+    shard entry the shard spec."""
+    keyed = dict(identity, kind=kind)
     if spec is not None:
-        identity["shard"] = asdict(spec)
-    return identity_key(identity)
+        keyed["shard"] = asdict(spec)
+    return identity_key(keyed)
 
 
 def payload_digest(data: bytes) -> str:
@@ -354,43 +352,36 @@ class SuiteStore:
             report.repaired = True
         return report
 
-    # -- typed helpers -------------------------------------------------
-    def load_shard(self, config: SynthesisConfig, spec: ShardSpec):
-        return self.get(entry_key(config, KIND_SHARD, spec))
+    # -- entries by identity ------------------------------------------
+    def load(
+        self,
+        identity: dict[str, Any],
+        kind: str,
+        spec: Optional[ShardSpec] = None,
+    ) -> Optional[Any]:
+        return self.get(store_key(identity, kind, spec))
 
-    def save_shard(self, config: SynthesisConfig, spec: ShardSpec, shard_result) -> None:
-        if shard_result.stats.timed_out:
-            return  # partial work must not satisfy a later complete run
-        # Span batches describe one concrete run and must not replay from
-        # cache; the metrics registry *is* stored — its histograms follow
-        # the snapshot-replay convention, so cache hits re-report them.
-        if getattr(shard_result, "spans", None) is not None:
-            shard_result = replace(shard_result, spans=None)
-        self.put(
-            entry_key(config, KIND_SHARD, spec),
-            shard_result,
-            {
-                "kind": KIND_SHARD,
-                "identity": config_identity(config),
-                "shard": asdict(spec),
-                "unique_programs": shard_result.stats.unique_programs,
-                "runtime_s": shard_result.runtime_s,
-            },
-        )
+    def save(
+        self,
+        identity: dict[str, Any],
+        kind: str,
+        payload: Any,
+        spec: Optional[ShardSpec] = None,
+    ) -> None:
+        """Persist one finished result (a shard, a suite, a diff cell or
+        a fuzz run) under its identity.
 
-    def load_suite(self, config: SynthesisConfig):
-        return self.get(entry_key(config, KIND_SUITE))
-
-    def save_suite(self, config: SynthesisConfig, result) -> None:
-        if result.stats.timed_out or result.stats.degraded:
-            return  # partial/degraded work must not satisfy a complete run
-        self.put(
-            entry_key(config, KIND_SUITE),
-            result,
-            {
-                "kind": KIND_SUITE,
-                "identity": config_identity(config),
-                "unique_programs": result.stats.unique_programs,
-                "runtime_s": result.stats.runtime_s,
-            },
-        )
+        Partial work — timed out or degraded — is never cached: it must
+        not satisfy a later complete run.  Span batches are stripped
+        because they describe one concrete run; a shard's metrics
+        registry is kept, so cache hits replay its histograms.
+        """
+        stats = payload.stats
+        if stats.timed_out or stats.degraded:
+            return
+        if getattr(payload, "spans", None) is not None:
+            payload = replace(payload, spans=None)
+        meta = {"kind": kind, "identity": identity, "runtime_s": stats.runtime_s}
+        if spec is not None:
+            meta["shard"] = asdict(spec)
+        self.put(store_key(identity, kind, spec), payload, meta)

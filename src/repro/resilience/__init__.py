@@ -8,7 +8,7 @@ pieces:
 * :mod:`.policy` — :class:`RetryPolicy`: bounded retries, deterministic
   backoff, per-shard wall timeouts, quarantine-vs-raise;
 * :mod:`.scheduler` — :func:`run_resilient_tasks`, the retrying shard
-  scheduler both orchestrators run on (pool rebuild on
+  scheduler the shard executor runs on (pool rebuild on
   ``BrokenProcessPool``, resubmission of in-flight shards only,
   poison-shard quarantine into explicitly *degraded* results), plus the
   rebuildable :class:`PoolManager`;

@@ -1,8 +1,9 @@
-"""The retrying shard scheduler behind both orchestrators.
+"""The retrying shard scheduler behind every sharded run.
 
-:func:`run_resilient_tasks` is the single execution loop
-:func:`repro.orchestrate.run_sharded` and the conformance runner share.
-It owns the full failure envelope a long sharded run can hit:
+:func:`run_resilient_tasks` is the single execution loop; its one
+caller for shard plans is the shard executor
+(:func:`repro.orchestrate.execute_plan`).  It owns the full failure
+envelope a long sharded run can hit:
 
 * **ordinary worker exceptions** — retried with deterministic backoff
   up to ``RetryPolicy.max_retries``, then quarantined (the run merges
@@ -69,6 +70,13 @@ class ResilienceStats:
     shard_timeouts: int = 0
     quarantined: int = 0
 
+    def absorb(self, other: "ResilienceStats") -> None:
+        """Add another run's effort (the fuzz rounds of one campaign)."""
+        self.retries += other.retries
+        self.pool_rebuilds += other.pool_rebuilds
+        self.shard_timeouts += other.shard_timeouts
+        self.quarantined += other.quarantined
+
     def any_event(self) -> bool:
         return bool(
             self.retries
@@ -90,16 +98,14 @@ class SchedulerOutcome:
 class PoolManager:
     """Owns a spawn pool that can be killed and rebuilt mid-run.
 
-    The sweep shares one manager across points the way it used to share
-    one executor; a pool collapse at any point transparently hands later
-    points a fresh pool.  A foreign executor may be adopted (legacy
-    ``executor=`` callers); on rebuild it is terminated like an owned
-    one — its workers are dead anyway.
+    The sweep shares one manager across points; a pool collapse at any
+    point transparently hands later points a fresh pool.  The pool
+    itself is spawned on first use.
     """
 
-    def __init__(self, jobs: int, executor: Optional[ProcessPoolExecutor] = None):
+    def __init__(self, jobs: int):
         self.jobs = jobs
-        self._executor = executor
+        self._executor: Optional[ProcessPoolExecutor] = None
 
     @property
     def executor(self) -> ProcessPoolExecutor:

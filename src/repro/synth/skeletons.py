@@ -434,7 +434,6 @@ def program_cost(program: Program, config: SynthesisConfig) -> int:
 def enumerate_programs_with_order(
     config: SynthesisConfig,
     skeleton_filter: Optional[Callable[[int], bool]] = None,
-    fanout_filter: Optional[Callable[[int], bool]] = None,
 ) -> Iterator[tuple[tuple[int, int], Program]]:
     """All well-formed programs within the bound, each tagged with its
     position ``(skeleton_index, fanout_index)`` in the global enumeration.
@@ -446,10 +445,10 @@ def enumerate_programs_with_order(
     — the invariant :mod:`repro.orchestrate` relies on to merge shard
     results back into serial enumeration order.
 
-    ``skeleton_filter`` / ``fanout_filter`` are index predicates used by
-    the shard planner to carve the space into disjoint work units; skipped
-    skeletons pay only skeleton-generation cost (the fan-out, assembly and
-    symmetry-check work is avoided entirely).
+    ``skeleton_filter`` is the index predicate the shard planner uses to
+    carve the space into disjoint work units; skipped skeletons pay only
+    skeleton-generation cost (the fan-out, assembly and symmetry-check
+    work is avoided entirely).
     """
     skeleton_index = -1
     for num_threads in range(1, config.max_threads + 1):
@@ -474,10 +473,6 @@ def enumerate_programs_with_order(
                     placed, walk_budget, config.mcm_mode
                 ):
                     fanout_index += 1
-                    if fanout_filter is not None and not fanout_filter(
-                        fanout_index
-                    ):
-                        continue
                     program = _assemble(placed, flags, config)
                     if program_cost(program, config) > config.bound:
                         continue

@@ -191,6 +191,36 @@ class TestResilienceFlags:
         assert "s0/1" in captured.err
 
 
+#: The minimal valid invocation of every orchestrating subcommand.
+ORCHESTRATING = {
+    "synthesize": ["synthesize", "--bound", "4"],
+    "sweep": ["sweep", "--max-bound", "4"],
+    "diff": ["diff", "--reference", "x86t_elt", "--subject", "x86t_amd_bug"],
+    "fuzz": ["fuzz"],
+}
+
+BAD_ORCHESTRATION_ARGUMENTS = {
+    "jobs": ["--jobs", "0"],
+    "shards": ["--shards", "0"],
+    "max-retries": ["--max-retries", "-1"],
+    "shard-timeout": ["--shard-timeout", "0"],
+    "resume": ["--resume"],
+}
+
+
+class TestOrchestrationArguments:
+    """A bad orchestration argument is a usage error (exit 2) for every
+    subcommand; exit 1 means "findings exist" to fuzz and diff."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ORCHESTRATION_ARGUMENTS))
+    @pytest.mark.parametrize("command", sorted(ORCHESTRATING))
+    def test_bad_argument_exits_two(self, capsys, command, bad) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(ORCHESTRATING[command] + BAD_ORCHESTRATION_ARGUMENTS[bad])
+        assert excinfo.value.code == 2
+        assert f"--{bad}" in capsys.readouterr().err
+
+
 class TestStoreVerifyCommand:
     def seed_cache(self, cache) -> None:
         assert (

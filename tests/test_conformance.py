@@ -23,7 +23,7 @@ from repro.conformance import (
     Refinement,
     axiom_subset,
     catalog_pairs,
-    diff_entry_key,
+    diff_identity,
     diff_models,
     expected_refinements,
     run_all_pairs,
@@ -39,7 +39,12 @@ from repro.models import (
     x86t_elt,
     x86tso,
 )
-from repro.orchestrate import KIND_DIFF_CELL, KIND_DIFF_SHARD, SuiteStore
+from repro.orchestrate import (
+    KIND_DIFF_CELL,
+    KIND_DIFF_SHARD,
+    SuiteStore,
+    store_key,
+)
 from repro.synth import SynthesisConfig
 
 
@@ -93,11 +98,6 @@ class TestDeterminism:
         assert sat.subject_only_keys == explicit.subject_only_keys
         assert sat.stats.sat_decisions > 0
 
-    def test_fanout_split_reproduces_serial_bytes(self) -> None:
-        serial = suite_from_diff(diff_models(amd_diff())).dumps()
-        sharded = run_diff(amd_diff(), jobs=1, shard_count=3, fanout_split=2)
-        assert suite_from_diff(sharded.cell).dumps() == serial
-
 
 class TestConfigValidation:
     def test_target_axiom_is_rejected(self) -> None:
@@ -149,7 +149,7 @@ class TestStore:
         first = run_diff(amd_diff(), jobs=1, shard_count=3, store=store)
         assert first.shard_cache_misses == 3
         # Drop the merged cell so the rerun must fall back to shards.
-        cell_key = diff_entry_key(amd_diff(), KIND_DIFF_CELL)
+        cell_key = store_key(diff_identity(amd_diff()), KIND_DIFF_CELL)
         (store.entries_dir / f"{cell_key}.pkl").unlink()
         second = run_diff(amd_diff(), jobs=1, shard_count=3, store=store)
         assert second.shard_cache_hits == 3
@@ -159,16 +159,18 @@ class TestStore:
         )
 
     def test_diff_keys_are_pair_specific(self) -> None:
-        forward = diff_entry_key(amd_diff(), KIND_DIFF_CELL)
-        backward = diff_entry_key(
-            DiffConfig(
-                base=SynthesisConfig(bound=5, model=x86t_amd_bug()),
-                subject=x86t_elt(),
+        forward = store_key(diff_identity(amd_diff()), KIND_DIFF_CELL)
+        backward = store_key(
+            diff_identity(
+                DiffConfig(
+                    base=SynthesisConfig(bound=5, model=x86t_amd_bug()),
+                    subject=x86t_elt(),
+                )
             ),
             KIND_DIFF_CELL,
         )
         assert forward != backward
-        assert forward != diff_entry_key(amd_diff(), KIND_DIFF_SHARD)
+        assert forward != store_key(diff_identity(amd_diff()), KIND_DIFF_SHARD)
 
 
 class TestAllPairs:

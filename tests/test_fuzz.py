@@ -43,11 +43,16 @@ from repro.fuzz.coverage import (
     class_digest,
 )
 from repro.fuzz.generators import RngChooser, programs
-from repro.fuzz.runner import fuzz_entry_key
+from repro.fuzz.runner import round_identity
 from repro.litmus import suite_from_fuzz
 from repro.models import x86t_amd_bug, x86t_elt
 from repro.mtm import EventKind, Execution, ProgramBuilder
-from repro.orchestrate import KIND_FUZZ_RUN, KIND_FUZZ_SHARD, SuiteStore
+from repro.orchestrate import (
+    KIND_FUZZ_RUN,
+    KIND_FUZZ_SHARD,
+    SuiteStore,
+    store_key,
+)
 from repro.synth.relax import is_minimal
 
 SETTINGS = dict(max_examples=20, deadline=None)
@@ -383,12 +388,12 @@ class TestRunFuzz:
 
     def test_entry_keys_separate_kinds_rounds_and_shards(self) -> None:
         config = amd_config()
-        run_key = fuzz_entry_key(config, KIND_FUZZ_RUN)
+        run_key = store_key(fuzz_identity(config), KIND_FUZZ_RUN)
         from repro.orchestrate.shards import plan_shards
 
         (spec,) = plan_shards(1)
-        shard0 = fuzz_entry_key(config, KIND_FUZZ_SHARD, spec, 0)
-        shard1 = fuzz_entry_key(config, KIND_FUZZ_SHARD, spec, 1)
+        shard0 = store_key(round_identity(config, 0), KIND_FUZZ_SHARD, spec)
+        shard1 = store_key(round_identity(config, 1), KIND_FUZZ_SHARD, spec)
         assert len({run_key, shard0, shard1}) == 3
 
     def test_identity_excludes_strategy_knobs(self) -> None:
@@ -404,7 +409,7 @@ class TestRunFuzz:
         assert result.stats.timed_out
         assert result.rounds_run == 1  # stops at the first round barrier
         # Timed-out runs and shards are never persisted.
-        assert store.get(fuzz_entry_key(config, KIND_FUZZ_RUN)) is None
+        assert store.load(fuzz_identity(config), KIND_FUZZ_RUN) is None
 
 
 def run_cli(capsys, argv):

@@ -1,8 +1,7 @@
 """Tests for the sharded parallel synthesis orchestrator.
 
 The load-bearing property is *shard-count invariance*: any shard plan —
-one worker or many, coarse or fine, with or without fan-out splitting —
-must reproduce the serial engine's suite exactly (same canonical key
+one worker or many, coarse or fine — must reproduce the serial engine's suite exactly (same canonical key
 set, same ordering, same representative programs, byte-identical suite
 file).  The merge layer's docstring argues why; these tests enforce it.
 """
@@ -52,13 +51,6 @@ class TestShardSpecs:
         assert len(specs) == 8
         assert {spec.skeleton_index for spec in specs} == set(range(8))
 
-    def test_plan_with_fanout_split(self) -> None:
-        specs = plan_shards(1, shard_count=2, fanout_split=3)
-        assert len(specs) == 6
-        assert {(s.skeleton_index, s.fanout_index) for s in specs} == {
-            (i, j) for i in range(2) for j in range(3)
-        }
-
     def test_invalid_specs_rejected(self) -> None:
         with pytest.raises(SynthesisError):
             ShardSpec(2, 2)
@@ -73,7 +65,7 @@ class TestShardSpecs:
         full = {
             order for order, _p in enumerate_programs_with_order(config)
         }
-        specs = plan_shards(1, shard_count=3, fanout_split=2)
+        specs = plan_shards(1, shard_count=3)
         seen: dict = {}
         for spec in specs:
             for order, _program in shard_programs(config, spec):
@@ -92,14 +84,13 @@ class TestShardCountInvariance:
     @given(
         axiom=st.sampled_from(sorted(X86T_ELT_AXIOM_NAMES)),
         shard_count=st.integers(min_value=1, max_value=5),
-        fanout_split=st.integers(min_value=1, max_value=2),
     )
     def test_any_shard_plan_matches_serial(
-        self, axiom: str, shard_count: int, fanout_split: int
+        self, axiom: str, shard_count: int
     ) -> None:
         config = config_for(axiom)
         serial = synthesize(config)
-        specs = plan_shards(1, shard_count=shard_count, fanout_split=fanout_split)
+        specs = plan_shards(1, shard_count=shard_count)
         merged, _report = merge_plan_inline(config, specs)
         assert [e.key for e in merged.elts] == [e.key for e in serial.elts]
         assert merged.keys() == serial.keys()

@@ -13,7 +13,13 @@ from repro.errors import ShardFailure, SolverInterrupted
 from repro.litmus import suite_from_synthesis
 from repro.models import x86t_amd_bug, x86t_elt
 from repro.obs import MetricsRegistry, install_registry
-from repro.orchestrate import SuiteStore, run_sharded, run_sweep_sharded
+from repro.orchestrate import (
+    KIND_SUITE,
+    SuiteStore,
+    config_identity,
+    run_sharded,
+    run_sweep_sharded,
+)
 from repro.orchestrate.shards import ShardSpec
 from repro.reporting import render_shard_runtimes
 from repro.resilience import (
@@ -298,7 +304,7 @@ class TestChaosOrchestration:
         )
         assert first.degraded
         # The three completed shards were cached; the merged suite was not.
-        assert store.load_suite(config) is None
+        assert store.load(config_identity(config), KIND_SUITE) is None
         # A fault-free rerun recomputes only the quarantined shard and
         # produces the complete suite.
         healed = run_sharded(config, jobs=1, shard_count=4, store=store)

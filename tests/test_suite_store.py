@@ -9,11 +9,12 @@ from repro.orchestrate import (
     ShardSpec,
     ShardTask,
     SuiteStore,
-    entry_key,
+    config_identity,
     plan_shards,
     run_shard,
     run_sharded,
     run_sweep_sharded,
+    store_key,
 )
 from repro.orchestrate.store import KIND_SHARD, KIND_SUITE
 from repro.synth import SynthesisConfig, synthesize
@@ -25,19 +26,23 @@ def config_for(axiom: str, bound: int = 4) -> SynthesisConfig:
 
 class TestEntryKeys:
     def test_key_is_stable(self) -> None:
-        assert entry_key(config_for("invlpg"), KIND_SUITE) == entry_key(
-            config_for("invlpg"), KIND_SUITE
-        )
+        assert store_key(
+            config_identity(config_for("invlpg")), KIND_SUITE
+        ) == store_key(config_identity(config_for("invlpg")), KIND_SUITE)
 
     def test_key_separates_configs_kinds_and_shards(self) -> None:
         base = config_for("invlpg")
+        identity = config_identity(base)
         keys = {
-            entry_key(base, KIND_SUITE),
-            entry_key(replace(base, bound=5), KIND_SUITE),
-            entry_key(config_for("sc_per_loc"), KIND_SUITE),
-            entry_key(replace(base, dirty_bit_as_rmw=True), KIND_SUITE),
-            entry_key(base, KIND_SHARD, ShardSpec(0, 2)),
-            entry_key(base, KIND_SHARD, ShardSpec(1, 2)),
+            store_key(identity, KIND_SUITE),
+            store_key(config_identity(replace(base, bound=5)), KIND_SUITE),
+            store_key(config_identity(config_for("sc_per_loc")), KIND_SUITE),
+            store_key(
+                config_identity(replace(base, dirty_bit_as_rmw=True)),
+                KIND_SUITE,
+            ),
+            store_key(identity, KIND_SHARD, ShardSpec(0, 2)),
+            store_key(identity, KIND_SHARD, ShardSpec(1, 2)),
         }
         assert len(keys) == 6
 
@@ -98,7 +103,7 @@ class TestResumableRuns:
         config = config_for("sc_per_loc")
         specs = plan_shards(1, shard_count=3)
         done = run_shard(ShardTask(config, specs[0]))
-        store.save_shard(config, specs[0], done)
+        store.save(config_identity(config), KIND_SHARD, done, specs[0])
 
         resumed = run_sharded(config, jobs=1, shard_count=3, store=store)
         assert resumed.shard_cache_hits == 1
@@ -164,13 +169,13 @@ class TestStaleEntries:
         from repro.conformance import (
             DiffConfig,
             cell_to_json,
-            diff_entry_key,
+            diff_identity,
             run_diff,
         )
         from repro.conformance import diff as diff_module
         from repro.litmus import suite_from_diff
         from repro.models import x86t_amd_bug
-        from repro.orchestrate.store import KIND_DIFF_CELL
+        from repro.orchestrate.store import KIND_DIFF_CELL, store_key
 
         def cell_bytes(cell) -> str:
             document = cell_to_json(cell)
@@ -200,7 +205,7 @@ class TestStaleEntries:
             stale_elt.__dict__.update(vars(elt))
             stale_elts.append(stale_elt)
         store = SuiteStore(tmp_path)
-        key = diff_entry_key(diff, KIND_DIFF_CELL)
+        key = store_key(diff_identity(diff), KIND_DIFF_CELL)
         store.put(key, replace(fresh, elts=stale_elts), {"kind": KIND_DIFF_CELL})
         monkeypatch.delattr(diff_module, "DiscriminatingElt")
 
