@@ -3,11 +3,12 @@ its one-pair call, a sharded single-pair diff.
 
 ``run_all_pairs`` fans every ordered pair of a model catalog through the
 shard executor (:func:`repro.orchestrate.execute_plan`): cells already in
-the store are loaded, the remaining pairs share one shard plan (per-pair
-strides sized so total work units match the pool, since pair-level
-fan-out already parallelizes), each shard spec becomes one fused task
-covering every pair still missing that shard, and the merged cells land
-in a deterministic :class:`~repro.conformance.matrix.ConformanceMatrix`.
+the store are loaded, the remaining pairs share one shard plan (sized by
+the pool alone: every spec is one fused task whatever the pair count),
+the base skeletons are enumerated once and sliced across the specs,
+each shard spec becomes one fused task covering every pair still missing
+that shard, and the merged cells land in a deterministic
+:class:`~repro.conformance.matrix.ConformanceMatrix`.
 
 ``run_diff`` is the one-pair call of the same driver: same plan, same
 store keys, same serial-equivalent merge.
@@ -23,7 +24,7 @@ from ..errors import SynthesisError
 from ..models import MemoryModel, catalog_models
 from ..orchestrate.executor import execute_plan, wall_deadline
 from ..orchestrate.merge import MergeReport
-from ..orchestrate.shards import ShardSpec, plan_shards
+from ..orchestrate.shards import ShardSpec, SkeletonSlices, plan_shards
 from ..orchestrate.store import (
     KIND_DIFF_CELL,
     KIND_DIFF_SHARD,
@@ -127,13 +128,14 @@ def run_diffs(
     if not remaining:
         return records
 
-    specs = plan_shards(jobs, shard_count=shard_count, queries=len(remaining))
+    specs = plan_shards(jobs, shard_count=shard_count)
     deadline = wall_deadline(diffs[0].base.time_budget_s)
     # Shards carry their own deadline; see repro.orchestrate.runner.
     shard_diffs = [
         replace(diffs[index], base=replace(diffs[index].base, time_budget_s=None))
         for index in remaining
     ]
+    slices = SkeletonSlices(shard_diffs[0].base, specs)
 
     def make_task(spec: ShardSpec, queries: list, observe: bool):
         return MultiDiffShardTask(
@@ -142,6 +144,7 @@ def run_diffs(
             wall_deadline=deadline,
             observe=observe,
             faults=faults,
+            skeletons=slices[spec],
         )
 
     plan = execute_plan(
@@ -162,6 +165,9 @@ def run_diffs(
             runtime_s=time.monotonic() - started,
             failures=plan.failures[query],
         )
+        if query == 0:
+            # Stage times ride on the lead query (see run_queries).
+            slices.charge(cell.stats)
         if store is not None:
             store.save(identities[index], KIND_DIFF_CELL, cell)
         records[index] = DiffRunResult(

@@ -2,8 +2,9 @@
 
 The differential analogue of :mod:`repro.orchestrate.worker`: a worker
 process receives a pickled :class:`MultiDiffShardTask` (every pending
-pair of one shard — a single-pair diff sends one pair), runs the fused
-diff pipeline over the shard's slice of the program stream, and returns
+pair of one shard — a single-pair diff sends one pair — plus the shard's
+base skeletons), runs the fused diff pipeline over the programs those
+skeletons expand to, and returns
 one :class:`DiffShardResult` per pair — a synthesis
 :class:`~repro.orchestrate.worker.ShardResult` (discriminating ELTs with
 their enumeration order keys, raw bucket counters) plus the asymmetric
@@ -21,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
-from ..orchestrate.shards import ShardSpec, shard_programs
+from ..orchestrate.shards import ShardSpec, SkeletonSlice, shard_programs
 from ..orchestrate.worker import ShardResult, observe_shard, shard_elts
 from ..resilience import FaultPlan
 from .diff import run_multi_diff_pipeline
@@ -48,6 +49,8 @@ class MultiDiffShardTask:
     attempt: int = 1
     #: Seeded chaos harness; consulted on worker entry when set.
     faults: Optional[FaultPlan] = None
+    #: The shard's base skeletons (see :class:`~repro.orchestrate.ShardTask`).
+    skeletons: Optional[SkeletonSlice] = None
 
 
 @dataclass
@@ -84,7 +87,7 @@ def run_multi_diff_shard(task: MultiDiffShardTask) -> list:
         try:
             outcomes = run_multi_diff_pipeline(
                 list(task.diffs),
-                shard_programs(task.diffs[0].base, spec),
+                shard_programs(task.diffs[0].base, spec, task.skeletons),
                 deadline=deadline,
             )
         finally:

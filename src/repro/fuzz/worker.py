@@ -185,7 +185,7 @@ def run_fuzz_shard(task: FuzzShardTask) -> FuzzShardResult:
             # mid-solve.
             with deadline_scope(deadline):
                 for index in range(len(task.allocation)):
-                    if index % spec.skeleton_count != spec.skeleton_index:
+                    if not spec.owns(index):
                         continue
                     if deadline is not None and time.monotonic() > deadline:
                         result.stats.timed_out = True

@@ -9,17 +9,19 @@ The executor owns the protocol those runs share:
 
 1. look every slot up in the :class:`~repro.orchestrate.store.SuiteStore`,
    counting hits and misses per query;
-2. build one fused task per spec covering the queries it still misses,
+2. start the pool's workers (a given or self-owned
+   :class:`~repro.resilience.PoolManager`) when slots are pending and
+   ``jobs > 1``, so their start-up overlaps step 3;
+3. build one fused task per spec covering the queries it still misses,
    so a spec's program slice is enumerated once however many queries
-   ride on it;
-3. run the tasks through :func:`repro.resilience.run_resilient_tasks`,
-   inline or on a given or self-owned
-   :class:`~repro.resilience.PoolManager`;
-4. adopt worker spans and metrics in plan order (one trace lane per
+   ride on it (the first task built may enumerate the run's skeletons);
+4. run the tasks through :func:`repro.resilience.run_resilient_tasks`,
+   inline or on the pool;
+5. adopt worker spans and metrics in plan order (one trace lane per
    fused task);
-5. persist the completed slots through :meth:`SuiteStore.save`, which
+6. persist the completed slots through :meth:`SuiteStore.save`, which
    never caches timed-out work and strips spans;
-6. map each quarantined task's failure to every query that rode on it.
+7. map each quarantined task's failure to every query that rode on it.
 
 The runs keep only their whole-result cache check, their merge and their
 result record.
@@ -90,14 +92,13 @@ def execute_plan(
     pool); it returns one shard result per query of its task, as a list,
     or the bare result for a one-query task.  Without ``pool``, a
     parallel run (``jobs > 1``) spawns a pool and shuts it down before
-    returning.
+    returning.  A plan whose slots are all in the store spawns nothing.
     """
     observe = bool(current_tracer()) or bool(current_registry())
     results: list[list[Optional[Any]]] = [[None] * len(specs) for _ in identities]
     hits = [0] * len(identities)
     misses = [0] * len(identities)
     riders: dict[int, list[int]] = {}
-    tasks = []
     for index, spec in enumerate(specs):
         missing = []
         for query, identity in enumerate(identities):
@@ -111,14 +112,22 @@ def execute_plan(
             missing.append(query)
         if missing:
             riders[index] = missing
-            tasks.append((index, make_task(spec, missing, observe)))
 
     bar = ProgressReporter(progress, len(specs))
-    bar.done = len(specs) - len(tasks)
+    bar.done = len(specs) - len(riders)
     own_pool: Optional[PoolManager] = None
     try:
-        if tasks and jobs > 1 and pool is None:
-            pool = own_pool = PoolManager(jobs)
+        if riders and jobs > 1:
+            if pool is None:
+                pool = own_pool = PoolManager(jobs)
+            # Workers boot (interpreter start-up, imports) while the
+            # tasks are built: building one may enumerate the run's
+            # skeletons.
+            pool.start()
+        tasks = [
+            (index, make_task(specs[index], missing, observe))
+            for index, missing in riders.items()
+        ]
         outcome = run_resilient_tasks(
             tasks, worker=worker, jobs=jobs, policy=retry, pool=pool, progress=bar
         )

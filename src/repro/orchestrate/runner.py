@@ -2,7 +2,8 @@
 
 ``run_sharded`` scales one (axiom, bound) synthesis across cores:
 
-1. plan deterministic shards (:mod:`.shards`);
+1. plan deterministic shards (:mod:`.shards`), whose base skeletons
+   are enumerated once, here, when the first task is built;
 2. hand the plan to the shard executor (:func:`.executor.execute_plan`),
    which reuses shards completed by an earlier interrupted run from the
    :class:`~repro.orchestrate.store.SuiteStore` and runs the rest through
@@ -43,7 +44,7 @@ from ..resilience import (
 from ..synth import SuiteResult, SweepPoint, SweepResult, SynthesisConfig
 from .executor import execute_plan, wall_deadline
 from .merge import MergeReport, merge_shards
-from .shards import ShardSpec, plan_shards
+from .shards import ShardSpec, SkeletonSlices, plan_shards
 from .store import KIND_SHARD, KIND_SUITE, SuiteStore, config_identity
 from .worker import ShardResult, ShardTask, run_shard
 
@@ -111,9 +112,17 @@ def run_sharded(
     # Shards carry their own deadline; the config they run under must not
     # double-apply the budget through the serial path.
     shard_config = replace(config, time_budget_s=None)
+    slices = SkeletonSlices(shard_config, specs)
 
     def make_task(spec: ShardSpec, _queries: list, observe: bool) -> ShardTask:
-        return ShardTask(shard_config, spec, deadline, observe=observe, faults=faults)
+        return ShardTask(
+            shard_config,
+            spec,
+            deadline,
+            observe=observe,
+            faults=faults,
+            skeletons=slices[spec],
+        )
 
     plan = execute_plan(
         specs,
@@ -133,6 +142,7 @@ def run_sharded(
         runtime_s=time.monotonic() - started,
         failures=plan.failures[0],
     )
+    slices.charge(result.stats)
     if store is not None:
         store.save(identity, KIND_SUITE, result)
     return OrchestratedResult(

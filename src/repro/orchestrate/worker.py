@@ -1,9 +1,9 @@
 """Spawn-safe shard execution.
 
 A worker process receives a pickled :class:`ShardTask` (config + shard
-spec + wall-clock deadline), runs the shared Fig 7 pipeline
-(:func:`repro.synth.run_pipeline`) over the shard's slice of the program
-stream, and returns a :class:`ShardResult` carrying every surviving ELT
+spec + the shard's base skeletons + wall-clock deadline), runs the shared
+Fig 7 pipeline (:func:`repro.synth.run_pipeline`) over the programs those
+skeletons expand to, and returns a :class:`ShardResult` carrying every surviving ELT
 *with its enumeration order key* so the merge layer can reconstruct the
 serial representative choice.
 
@@ -38,7 +38,7 @@ from ..obs import (
 from ..resilience import FaultPlan
 from ..synth import SuiteStats, SynthesisConfig, run_pipeline
 from ..synth.engine import OrderKey, PipelineOutcome, SynthesizedElt
-from .shards import ShardSpec, shard_programs
+from .shards import ShardSpec, SkeletonSlice, shard_programs
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,10 @@ class ShardTask:
     attempt: int = 1
     #: Seeded chaos harness; when set the worker consults it on entry.
     faults: Optional[FaultPlan] = None
+    #: The shard's base skeletons (the run's
+    #: :class:`~repro.orchestrate.shards.SkeletonSlices` slice); None
+    #: makes the worker enumerate them itself.
+    skeletons: Optional[SkeletonSlice] = None
 
 
 @dataclass
@@ -131,7 +135,7 @@ def run_shard(task: ShardTask) -> ShardResult:
         try:
             outcome = run_pipeline(
                 task.config,
-                shard_programs(task.config, task.spec),
+                shard_programs(task.config, task.spec, task.skeletons),
                 deadline=deadline,
             )
         finally:

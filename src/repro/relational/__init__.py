@@ -49,8 +49,19 @@ from .ast import (
 )
 from .instance import Instance
 from .eval import eval_expr, eval_formula
-from .translate import Problem, ProblemSession, RelationBound
 from .tuples import TupleSet
+
+
+def __getattr__(name: str):
+    """Lazy re-exports of the SAT-backed problem API, so importing the
+    relational vocabulary (:class:`TupleSet`, the AST) does not load
+    the translator or the SAT solver."""
+    if name in ("Problem", "ProblemSession", "RelationBound"):
+        from . import translate
+
+        return getattr(translate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "TupleSet",

@@ -46,13 +46,27 @@ from .faults import (
 )
 from .lock import FileLock
 from .policy import DEFAULT_RETRY_POLICY, RetryPolicy
-from .scheduler import (
-    FailureRecord,
-    PoolManager,
-    ResilienceStats,
-    SchedulerOutcome,
-    run_resilient_tasks,
+
+#: Names re-exported lazily from :mod:`.scheduler`, which imports
+#: ``concurrent.futures`` and ``multiprocessing``: only a sharded run
+#: needs them, while the SAT solver imports this package for its
+#: deadline channel.
+_SCHEDULER_NAMES = (
+    "FailureRecord",
+    "PoolManager",
+    "ResilienceStats",
+    "SchedulerOutcome",
+    "run_resilient_tasks",
 )
+
+
+def __getattr__(name: str):
+    if name in _SCHEDULER_NAMES:
+        from . import scheduler
+
+        return getattr(scheduler, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",

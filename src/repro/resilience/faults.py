@@ -28,7 +28,6 @@ chaos guarantee.
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -60,6 +59,8 @@ def _unit(seed: int, *parts) -> float:
 def in_worker_process() -> bool:
     """True when running in a spawned/forked child (an ``os._exit`` here
     surfaces to the coordinator as ``BrokenProcessPool``)."""
+    import multiprocessing
+
     return multiprocessing.parent_process() is not None
 
 

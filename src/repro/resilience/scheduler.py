@@ -30,6 +30,7 @@ Every retry/timeout/quarantine/rebuild surfaces as an informational
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -100,12 +101,28 @@ class PoolManager:
 
     The sweep shares one manager across points; a pool collapse at any
     point transparently hands later points a fresh pool.  The pool
-    itself is spawned on first use.
+    itself is spawned on first use, or up front by :meth:`start`.
     """
 
     def __init__(self, jobs: int):
         self.jobs = jobs
         self._executor: Optional[ProcessPoolExecutor] = None
+
+    def start(self) -> None:
+        """Spawn all ``jobs`` workers now, so their interpreter start-up
+        and imports overlap whatever the caller does before its first
+        submit.  A no-op while a pool is up."""
+        if self._executor is not None:
+            return
+        executor = self.executor
+        # ProcessPoolExecutor spawns every worker on the first submit
+        # (Python 3.9) or one per submit while no worker is idle (3.11+):
+        # ``jobs`` no-op submits, made before any worker can finish
+        # booting, reach ``jobs`` workers on both.  Their futures go
+        # unread: a no-op can only fail by a pool collapse, which fails
+        # the real tasks too, and the scheduler recovers from that.
+        for _ in range(self.jobs):
+            executor.submit(os.getpid)
 
     @property
     def executor(self) -> ProcessPoolExecutor:

@@ -48,12 +48,18 @@ from .skeletons import (
     enumerate_skeletons,
     program_cost,
 )
-from .sat_backend import (
-    WitnessSession,
-    WitnessSessionCache,
-    shared_session_cache,
-)
 from .witnesses import enumerate_witnesses, enumerate_witnesses_constrained
+
+
+def __getattr__(name: str):
+    """Lazy re-exports of the SAT witness backend, so the explicit path
+    does not load the relational translator or the SAT solver."""
+    if name in ("WitnessSession", "WitnessSessionCache", "shared_session_cache"):
+        from . import sat_backend
+
+        return getattr(sat_backend, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "SynthesisConfig",

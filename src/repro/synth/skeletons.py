@@ -14,6 +14,11 @@ Programs are generated in three stages:
    are forced misses, anything else may capacity-evict (§III-B2 explores
    all three TLB-miss causes).  Dirty-bit ghosts attach to every Write.
 
+Stage 1 is :func:`indexed_skeletons` and stages 2 and 3 are
+:func:`expand_skeletons`: a sharded run (:mod:`repro.orchestrate`)
+enumerates the skeletons once and expands disjoint slices of them in
+separate workers.
+
 Placement rules enforced here (Fig 7 "relation placement rules"):
 
 * spurious INVLPGs appear only between two same-thread accesses of their
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..mtm import Event, EventKind, Program
 from ..symmetry import program_symmetry
@@ -49,6 +54,12 @@ class Spec:
 
     def is_user_access(self) -> bool:
         return self.op in ("R", "W", "RMW")
+
+
+#: One base skeleton: a spec sequence per thread.
+Skeleton = tuple[tuple[Spec, ...], ...]
+#: A base skeleton with its global index across all thread counts.
+IndexedSkeleton = tuple[int, Skeleton]
 
 
 def _spec_cost(spec: Spec, config: SynthesisConfig, num_threads: int) -> int:
@@ -145,15 +156,31 @@ def _has_write(threads: list[list[Spec]]) -> bool:
 
 def enumerate_skeletons(
     config: SynthesisConfig, num_threads: int
-) -> Iterator[tuple[list[Spec], ...]]:
+) -> Iterator[Skeleton]:
     """Yield base skeletons (per-thread spec sequences) within budget."""
+    # The legal specs, their costs and the VA count after each depend
+    # only on how many VAs are in use: build each list once.
+    candidates: dict[int, list[tuple[Spec, int, int]]] = {}
+
+    def candidates_at(used_vas: int) -> list[tuple[Spec, int, int]]:
+        found = candidates.get(used_vas)
+        if found is None:
+            found = candidates[used_vas] = [
+                (
+                    spec,
+                    _spec_cost(spec, config, num_threads),
+                    max(used_vas, spec.va + 1),
+                )
+                for spec in _candidate_specs(config, used_vas, num_threads)
+            ]
+        return found
 
     def extend(
         threads: list[list[Spec]],
         thread_index: int,
         used_vas: int,
         base_cost: int,
-    ) -> Iterator[tuple[list[Spec], ...]]:
+    ) -> Iterator[Skeleton]:
         walks = 0 if config.mcm_mode else _min_extra_walks(threads)
         if base_cost + walks > config.bound:
             return
@@ -162,20 +189,28 @@ def enumerate_skeletons(
         if complete_here:
             if thread_index + 1 == num_threads:
                 if _has_write(threads):
-                    yield tuple(list(t) for t in threads)
+                    yield tuple(tuple(t) for t in threads)
             else:
                 yield from extend(threads, thread_index + 1, used_vas, base_cost)
-        for spec in _candidate_specs(config, used_vas, num_threads):
-            cost = _spec_cost(spec, config, num_threads)
+        for spec, cost, new_used in candidates_at(used_vas):
             if base_cost + cost + walks > config.bound:
                 continue
             current.append(spec)
-            new_used = max(used_vas, spec.va + 1)
             yield from extend(threads, thread_index, new_used, base_cost + cost)
             current.pop()
 
     threads: list[list[Spec]] = [[] for _ in range(num_threads)]
     yield from extend(threads, 0, 0, 0)
+
+
+def indexed_skeletons(config: SynthesisConfig) -> Iterator[IndexedSkeleton]:
+    """Every base skeleton within the bound, across all thread counts,
+    with its global skeleton index (the first half of every order key)."""
+    index = 0
+    for num_threads in range(1, config.max_threads + 1):
+        for skeleton in enumerate_skeletons(config, num_threads):
+            yield index, skeleton
+            index += 1
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +228,7 @@ class _Item:
     rmw_end: bool = False  # W of an RMW pair
 
 
-def _materialize_base(threads: tuple[list[Spec], ...]) -> tuple[list[list[_Item]], int]:
+def _materialize_base(threads: Skeleton) -> tuple[list[list[_Item]], int]:
     """Expand RMW pairs and number the PTE writes; returns items + count."""
     out: list[list[_Item]] = []
     wpte_counter = 0
@@ -431,63 +466,59 @@ def program_cost(program: Program, config: SynthesisConfig) -> int:
     return cost
 
 
+def expand_skeletons(
+    config: SynthesisConfig, skeletons: Iterable[IndexedSkeleton]
+) -> Iterator[tuple[tuple[int, int], Program]]:
+    """Stages 2 and 3 over indexed base skeletons: every well-formed
+    program each one expands to, tagged with its order key
+    ``(skeleton_index, fanout_index)``.
+
+    ``fanout_index`` counts a skeleton's (remap placement × TLB vector)
+    expansions before any filtering, so a program's order key depends
+    only on its skeleton, never on which other skeletons are expanded
+    with it: the invariant :mod:`repro.orchestrate` relies on to expand
+    disjoint skeleton slices in separate shards and merge the results
+    back into serial enumeration order.
+    """
+    for skeleton_index, skeleton in skeletons:
+        num_threads = len(skeleton)
+        base, _count = _materialize_base(skeleton)
+        base_cost = sum(
+            _spec_cost(s, config, num_threads)
+            for thread in skeleton
+            for s in thread
+        )
+        walk_budget = config.bound - base_cost
+        if walk_budget < 0:
+            continue
+        fanout_index = -1
+        for placed in _insert_remote_invlpgs(base):
+            for flags in _tlb_choice_vectors(
+                placed, walk_budget, config.mcm_mode
+            ):
+                fanout_index += 1
+                program = _assemble(placed, flags, config)
+                if program_cost(program, config) > config.bound:
+                    continue
+                if config.canonical_pruning:
+                    if config.symmetry:
+                        # One serialization pass serves both the
+                        # arrangement check here and the engine's
+                        # orbit machinery (memoized on the program).
+                        if not program_symmetry(program).arrangement_canonical:
+                            continue
+                    elif not is_canonical_thread_order(program):
+                        continue
+                yield (skeleton_index, fanout_index), program
+
+
 def enumerate_programs_with_order(
     config: SynthesisConfig,
-    skeleton_filter: Optional[Callable[[int], bool]] = None,
 ) -> Iterator[tuple[tuple[int, int], Program]]:
     """All well-formed programs within the bound, each tagged with its
-    position ``(skeleton_index, fanout_index)`` in the global enumeration.
-
-    ``skeleton_index`` counts base skeletons across all thread counts;
-    ``fanout_index`` counts a skeleton's (remap placement × TLB vector)
-    expansions.  Both indices are assigned *before* any filtering, so a
-    program carries the same order key no matter which shard enumerates it
-    — the invariant :mod:`repro.orchestrate` relies on to merge shard
-    results back into serial enumeration order.
-
-    ``skeleton_filter`` is the index predicate the shard planner uses to
-    carve the space into disjoint work units; skipped skeletons pay only
-    skeleton-generation cost (the fan-out, assembly and symmetry-check
-    work is avoided entirely).
-    """
-    skeleton_index = -1
-    for num_threads in range(1, config.max_threads + 1):
-        for skeleton in enumerate_skeletons(config, num_threads):
-            skeleton_index += 1
-            if skeleton_filter is not None and not skeleton_filter(
-                skeleton_index
-            ):
-                continue
-            base, _count = _materialize_base(skeleton)
-            base_cost = sum(
-                _spec_cost(s, config, num_threads)
-                for thread in skeleton
-                for s in thread
-            )
-            walk_budget = config.bound - base_cost
-            if walk_budget < 0:
-                continue
-            fanout_index = -1
-            for placed in _insert_remote_invlpgs(base):
-                for flags in _tlb_choice_vectors(
-                    placed, walk_budget, config.mcm_mode
-                ):
-                    fanout_index += 1
-                    program = _assemble(placed, flags, config)
-                    if program_cost(program, config) > config.bound:
-                        continue
-                    if config.canonical_pruning:
-                        if config.symmetry:
-                            # One serialization pass serves both the
-                            # arrangement check here and the engine's
-                            # orbit machinery (memoized on the program).
-                            if not program_symmetry(
-                                program
-                            ).arrangement_canonical:
-                                continue
-                        elif not is_canonical_thread_order(program):
-                            continue
-                    yield (skeleton_index, fanout_index), program
+    position ``(skeleton_index, fanout_index)`` in the global
+    enumeration: the expansion of every indexed base skeleton."""
+    return expand_skeletons(config, indexed_skeletons(config))
 
 
 def enumerate_programs(config: SynthesisConfig) -> Iterator[Program]:
