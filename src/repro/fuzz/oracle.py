@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..models import Agreement, MemoryModel, PairClassifier
-from ..mtm import Execution, Program
+from ..models import Agreement, Evaluation, MemoryModel, PairClassifier
+from ..mtm import Execution, Program, release_program_memo
 from ..obs import current_registry
 from ..symmetry import execution_key_via, program_symmetry, witness_sort_key
 from ..synth.canon import (
@@ -140,11 +140,12 @@ class DifferentialOracle:
             summary=summary, canonical_key=key, identity_rank=identity_rank
         )
         if rep is not None:
-            execution, execution_key, witness_rank = rep
-            judgment.execution = execution
-            judgment.execution_key = execution_key
-            judgment.witness_rank = witness_rank
-            judgment.violated_axioms = self.reference.check(execution).violated
+            (
+                judgment.execution_key,
+                judgment.witness_rank,
+                judgment.execution,
+                judgment.violated_axioms,
+            ) = rep
         return judgment
 
     # -- evaluation -----------------------------------------------------
@@ -160,21 +161,34 @@ class DifferentialOracle:
     def _evaluate(self, program: Program, sym, want_representative: bool):
         """One pass over the witness stream.  Returns (summary,
         representative-or-None) where the representative is the smallest
-        ``(execution key, witness rank)`` minimal discriminating witness.
+        ``(execution key, witness rank)`` minimal discriminating witness,
+        as ``(execution key, witness rank, execution, violated reference
+        axioms)``.  The program's memos are released when the pass ends.
         """
+        try:
+            return self._evaluate_pass(program, sym, want_representative)
+        finally:
+            release_program_memo(program)
+
+    def _evaluate_pass(self, program: Program, sym, want_representative: bool):
         counts = [0, 0, 0, 0]  # bp, bf, orf, osf
         signatures: set = set()
-        discriminating: list = []  # (execution_key, witness_rank, execution)
+        #: (execution_key, witness_rank, execution, violated axioms)
+        discriminating: list = []
         total = 0
         truncated = False
         limit = self.config.max_witnesses
         verdicts = self.classifier.verdicts
+        check_reference = self.reference.check
         for execution, weight in self._stream(program, sym):
             total += weight
             if total > limit:
                 truncated = True
                 break
-            ref_permits, sub_permits = verdicts(execution)
+            # One evaluation serves the verdict pair and, when the
+            # reference forbids, its violated axioms.
+            evaluation = Evaluation(execution)
+            ref_permits, sub_permits = verdicts(execution, evaluation)
             if ref_permits:
                 if sub_permits:
                     counts[0] += weight
@@ -183,7 +197,7 @@ class DifferentialOracle:
                     counts[3] += weight
                     signatures.add((Agreement.ONLY_SUBJECT_FORBIDS.value, ()))
                 continue
-            violated = self.reference.check(execution).violated
+            violated = check_reference(execution, evaluation).violated
             if not sub_permits:
                 counts[1] += weight
                 signatures.add((Agreement.BOTH_FORBID.value, violated))
@@ -198,7 +212,9 @@ class DifferentialOracle:
             witness_rank = witness_sort_key(
                 program, execution._rf, execution.co, execution.co_pa
             )
-            discriminating.append((execution_key, witness_rank, execution))
+            discriminating.append(
+                (execution_key, witness_rank, execution, violated)
+            )
         if truncated:
             self.stats.truncated += 1
             current_registry().inc("fuzz.truncated", informational=True)
@@ -221,13 +237,11 @@ class DifferentialOracle:
         # uses, so isomorphic findings always serialize the same bytes.
         representative = None
         minimal = False
-        for execution_key, witness_rank, execution in sorted(
-            discriminating, key=lambda item: (item[0], item[1])
-        ):
-            if self._is_minimal(execution, execution_key):
+        for candidate in sorted(discriminating, key=lambda item: item[:2]):
+            if self._is_minimal(candidate[2], candidate[0]):
                 minimal = True
                 if want_representative:
-                    representative = (execution, execution_key, witness_rank)
+                    representative = candidate
                 break
         summary = ClassSummary(
             counts=tuple(counts),

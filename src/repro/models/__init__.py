@@ -3,12 +3,15 @@
 Public surface:
 
 * :class:`Axiom`, :class:`MemoryModel`, :class:`Verdict` — infrastructure.
+* :class:`Evaluation` — one execution's memo over the compiled axiom plan
+  (:mod:`repro.models.plan`), shared by every verdict read from it.
 * :func:`x86tso`, :func:`x86t_elt`, :func:`sequential_consistency`,
   :func:`x86t_amd_bug` — the catalog.
 * :data:`X86T_ELT_AXIOM_NAMES` — Fig 9 axiom order.
 """
 
 from .base import Axiom, MemoryModel, Verdict
+from .plan import Evaluation
 from .catalog import (
     CATALOG,
     CAUSALITY,
@@ -45,6 +48,7 @@ __all__ = [
     "Axiom",
     "MemoryModel",
     "Verdict",
+    "Evaluation",
     "SC_PER_LOC",
     "RMW_ATOMICITY",
     "CAUSALITY",

@@ -7,20 +7,26 @@ predicate*; an MTM's is its *transistency predicate* (paper §II-A, §V-A).
 Each axiom is a single function written against the generic relational
 protocol (see :mod:`repro.relational.ast`), so the same definition:
 
-* evaluates concretely (fast tuple-set algebra) to check a candidate
-  execution — :meth:`MemoryModel.check`;
-* compiles symbolically into a relational :class:`~repro.relational.ast.Formula`
-  for the SAT backend and for documentation — :meth:`MemoryModel.formula`.
+* builds a symbolic relational :class:`~repro.relational.ast.Formula` for
+  the SAT backend and for documentation — :meth:`MemoryModel.formula`;
+* checks a candidate execution concretely — :meth:`MemoryModel.check`.
+  Concrete verdicts come from that same formula, compiled once into the
+  shared-subterm plan of :mod:`repro.models.plan` and evaluated with one
+  memo per execution (:class:`~repro.models.plan.Evaluation`).  Calling
+  the predicate on the execution's concrete :class:`~repro.mtm.Vocabulary`
+  is the fallback for a predicate that does not compile, and the
+  reference the tests hold the compiled verdicts to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ..errors import SynthesisError
 from ..mtm import Execution, Vocabulary, symbolic_vocabulary
 from ..relational.ast import Formula, conj
+from .plan import Evaluation, plan_of
 
 AxiomPredicate = Callable[[Vocabulary], Union[bool, Formula]]
 
@@ -39,8 +45,18 @@ class Axiom:
     description: str = ""
     diagnostic: bool = False
 
-    def holds(self, execution: Execution) -> bool:
-        """Concrete evaluation on a candidate execution."""
+    def holds(
+        self, execution: Execution, evaluation: Optional[Evaluation] = None
+    ) -> bool:
+        """Concrete evaluation on a candidate execution, through the
+        compiled plan and the execution's shared ``evaluation`` (a fresh
+        one when not given); a predicate without a plan is called on the
+        concrete vocabulary."""
+        root = plan_of(self.predicate)
+        if root is not None:
+            if evaluation is None:
+                evaluation = Evaluation(execution)
+            return root.value(evaluation)
         result = self.predicate(Vocabulary(execution.relations))
         if not isinstance(result, bool):
             raise SynthesisError(
@@ -107,17 +123,29 @@ class MemoryModel:
                 return axiom
         raise SynthesisError(f"{self.name} has no axiom {name!r}")
 
-    def check(self, execution: Execution) -> Verdict:
-        """Evaluate every axiom on a candidate execution."""
+    def check(
+        self, execution: Execution, evaluation: Optional[Evaluation] = None
+    ) -> Verdict:
+        """Evaluate every axiom on a candidate execution (in its shared
+        ``evaluation`` when given)."""
+        if evaluation is None:
+            evaluation = Evaluation(execution)
         return Verdict(
             self.name,
-            {axiom.name: axiom.holds(execution) for axiom in self.axioms},
+            {
+                axiom.name: axiom.holds(execution, evaluation)
+                for axiom in self.axioms
+            },
         )
 
-    def permits(self, execution: Execution) -> bool:
+    def permits(
+        self, execution: Execution, evaluation: Optional[Evaluation] = None
+    ) -> bool:
         """Whether every axiom holds; stops at the first violated one
         (:meth:`check` evaluates them all, for reporting)."""
-        return all(axiom.holds(execution) for axiom in self.axioms)
+        if evaluation is None:
+            evaluation = Evaluation(execution)
+        return all(axiom.holds(execution, evaluation) for axiom in self.axioms)
 
     def forbids(self, execution: Execution) -> bool:
         return not self.permits(execution)

@@ -8,13 +8,13 @@ model (not the reference) describes the machine — exactly how synthesized
 ELTs "inform system designers about the software-visible effects of VM
 implementations" (paper §I).
 
-:class:`PairClassifier` is the single-pass engine behind the comparison:
-it deduplicates the two models' axioms (catalog variants are built from
-the *same* :class:`~repro.models.base.Axiom` constants, so e.g. x86t_elt
-and x86t_amd_bug share four of their combined nine axioms) and evaluates
-each distinct axiom at most once per execution.  The differential
-synthesis pipeline (:mod:`repro.conformance`) runs it over every
-candidate execution of a bounded enumeration.
+:class:`PairClassifier` is the single-pass engine behind the comparison,
+the two-model :class:`AxiomTable`: catalog variants are built from the
+*same* :class:`~repro.models.base.Axiom` constants (x86t_elt and
+x86t_amd_bug share four of their combined nine axioms), and the table's
+one evaluation per execution evaluates each distinct axiom at most once.
+The fuzz oracle (:mod:`repro.fuzz.oracle`) runs it over every candidate
+execution of the programs it judges.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import Iterable, List, Optional, Tuple
 
 from ..mtm import Execution
 from .base import Axiom, MemoryModel
+from .plan import Evaluation
 
 
 class Agreement(Enum):
@@ -60,13 +61,15 @@ class ModelComparison:
 
 
 class AxiomTable:
-    """Deduplicated axiom slots across *any* number of models.
+    """Verdicts of *any* number of models, read from one evaluation per
+    execution.
 
-    The n-model generalization of :class:`PairClassifier`'s sharing
-    trick: all models' axioms are merged into one slot list keyed by
-    (name, predicate), so an axiom shared by k models occupies one slot
-    and is evaluated at most once per execution no matter how many model
-    pairs are being classified.  Every pass of the engine's program loop
+    Every model's axioms compile into one shared plan
+    (:mod:`repro.models.plan`), and one :class:`Evaluation` per execution
+    memoizes every node, so an axiom shared by k models — and every
+    subterm shared by several axioms — is evaluated at most once per
+    execution no matter how many model pairs are being classified.
+    Every pass of the engine's program loop
     (:func:`repro.synth.engine.run_queries`) reads its verdicts from one
     table: a synthesis pass's holds one verdict model, and a fused
     all-pairs conformance pass's spans every reference and subject in
@@ -77,101 +80,71 @@ class AxiomTable:
 
     def __init__(self, models: Iterable[MemoryModel]) -> None:
         self.models: List[MemoryModel] = list(models)
-        self._axioms: List[Axiom] = []
-        self._slots: List[List[int]] = []
-        slot_of: dict = {}
-        for model in self.models:
-            slots: List[int] = []
-            for axiom in model.axioms:
-                identity = (axiom.name, axiom.predicate)
-                index = slot_of.get(identity)
-                if index is None:
-                    index = len(self._axioms)
-                    slot_of[identity] = index
-                    self._axioms.append(axiom)
-                slots.append(index)
-            self._slots.append(slots)
+        self._axioms: List[Tuple[Axiom, ...]] = [
+            model.axioms for model in self.models
+        ]
 
     @property
     def distinct_axiom_count(self) -> int:
-        return len(self._axioms)
+        """How many distinct axioms, by (name, predicate), the models
+        hold: the most axiom verdicts one execution costs."""
+        return len(
+            {(a.name, a.predicate) for axioms in self._axioms for a in axioms}
+        )
 
     def evaluator(self, execution: Execution):
-        """A ``permits(model_index) -> bool`` callable for one execution,
-        memoizing each distinct axiom's verdict across models (and
-        preserving the all-true / first-false short-circuit per model)."""
-        cache: List[Optional[bool]] = [None] * len(self._axioms)
-        axioms = self._axioms
-        slots = self._slots
+        """A ``permits(model_index) -> bool`` callable for one execution.
+        Every model reads the execution's one :class:`Evaluation`, so an
+        axiom shared by several models, and every subterm shared by
+        several axioms, is evaluated once; each model keeps its
+        first-false short-circuit."""
+        evaluation = Evaluation(execution)
+        axioms_of = self._axioms
 
         def permits(model_index: int) -> bool:
-            for index in slots[model_index]:
-                result = cache[index]
-                if result is None:
-                    result = axioms[index].holds(execution)
-                    cache[index] = result
-                if not result:
-                    return False
-            return True
+            return _all_hold(axioms_of[model_index], execution, evaluation)
 
         return permits
 
 
-class PairClassifier:
-    """Single-pass verdict-pair classification under two models.
+def _all_hold(axioms, execution: Execution, evaluation: Evaluation) -> bool:
+    for axiom in axioms:
+        if not axiom.holds(execution, evaluation):
+            return False
+    return True
 
-    The two models' axioms are merged into one slot list, deduplicated by
-    (name, predicate): an axiom appearing in both models — the common case
-    for catalog variants, which are built by adding/removing axioms from a
-    shared base — occupies one slot and is evaluated once per execution.
-    Evaluation is lazy and memoized per execution, so the usual all-true /
-    first-false short-circuit of :meth:`MemoryModel.permits` is preserved
-    wherever slots are not shared.
+
+class PairClassifier(AxiomTable):
+    """Single-pass verdict-pair classification: the two-model table.
+
+    Catalog variants are built by adding and removing axioms from a
+    shared base, so the two models usually share most axioms; through
+    the table's one evaluation per execution, a shared axiom is
+    evaluated once.
     """
 
     def __init__(self, reference: MemoryModel, subject: MemoryModel) -> None:
+        super().__init__((reference, subject))
         self.reference = reference
         self.subject = subject
-        self._axioms: List[Axiom] = []
-        slot_of: dict = {}
-        self._reference_slots: List[int] = []
-        self._subject_slots: List[int] = []
-        for model, slots in (
-            (reference, self._reference_slots),
-            (subject, self._subject_slots),
-        ):
-            for axiom in model.axioms:
-                identity = (axiom.name, axiom.predicate)
-                index = slot_of.get(identity)
-                if index is None:
-                    index = len(self._axioms)
-                    slot_of[identity] = index
-                    self._axioms.append(axiom)
-                slots.append(index)
 
     @property
     def shared_axiom_count(self) -> int:
-        """How many axiom slots the two models share."""
+        """How many axioms, by (name, predicate), the two models share."""
+        return sum(map(len, self._axioms)) - self.distinct_axiom_count
+
+    def verdicts(
+        self, execution: Execution, evaluation: Optional[Evaluation] = None
+    ) -> Tuple[bool, bool]:
+        """(reference permits, subject permits), read from one evaluation
+        (``evaluation`` when given, so a caller can read more verdicts
+        from it)."""
+        if evaluation is None:
+            evaluation = Evaluation(execution)
         return (
-            len(self._reference_slots)
-            + len(self._subject_slots)
-            - len(self._axioms)
+            _all_hold(self._axioms[0], execution, evaluation),
+            _all_hold(self._axioms[1], execution, evaluation),
         )
-
-    def verdicts(self, execution: Execution) -> Tuple[bool, bool]:
-        """(reference permits, subject permits) with shared evaluation."""
-        cache: List[Optional[bool]] = [None] * len(self._axioms)
-
-        def holds(index: int) -> bool:
-            result = cache[index]
-            if result is None:
-                result = self._axioms[index].holds(execution)
-                cache[index] = result
-            return result
-
-        ref_permits = all(holds(i) for i in self._reference_slots)
-        sub_permits = all(holds(i) for i in self._subject_slots)
-        return ref_permits, sub_permits
 
     def classify(self, execution: Execution) -> Agreement:
         ref_permits, sub_permits = self.verdicts(execution)

@@ -5,7 +5,8 @@ Public surface:
 * :class:`Event` / :class:`EventKind` — the event taxonomy (user-facing,
   support, ghost).
 * :class:`Program` / :class:`ProgramBuilder` — ELT programs with po,
-  ghost, remap and rmw structure.
+  ghost, remap and rmw structure; :func:`program_memo` /
+  :func:`release_program_memo` — what a program's executions share.
 * :class:`Execution` — candidate executions: program + (rf, co, co_pa)
   witness, with every Table I relation derived.
 * :class:`Vocabulary` / :func:`symbolic_vocabulary` — the namespace axioms
@@ -25,7 +26,13 @@ from .events import (
     WRITE_KINDS,
 )
 from .execution import Execution, location_of
-from .program import Program, ProgramBuilder, ThreadBuilder
+from .program import (
+    Program,
+    ProgramBuilder,
+    ThreadBuilder,
+    program_memo,
+    release_program_memo,
+)
 from .vocabulary import Vocabulary, symbolic_vocabulary
 
 __all__ = [
@@ -41,6 +48,8 @@ __all__ = [
     "Program",
     "ProgramBuilder",
     "ThreadBuilder",
+    "program_memo",
+    "release_program_memo",
     "Execution",
     "location_of",
     "Vocabulary",

@@ -22,9 +22,19 @@ Everything else of Table I is **derived** here:
 * ``fr``, ``rf_pa``, ``fr_pa``, ``fr_va``, ``ptw_source``, ``po_loc`` ...
   are computed per their Table I definitions.
 
+Everything that depends only on the program and the walk -> source
+assignment (each PT walk's PTE rf source) — mappings, PAs, locations,
+``sloc``, ``po_loc``, ``rf_ptw``, ``ptw_source``, ``rf_pa`` — is derived
+once per assignment in a :class:`WalkSourceContext` and shared by every
+witness that has it; only rf, co, co_pa and what they decide are
+derived per witness, and every per-witness check still runs per
+witness.  The contexts live in the program's
+:class:`~repro.mtm.program.ProgramMemo`.
+
 Structural violations raise :class:`WellFormednessError`; whether the
 execution is *forbidden* is a question for a memory model's predicate
-(:mod:`repro.models`), never for this module.
+(:mod:`repro.models`, whose compiled plan reads each execution's
+relations once), never for this module.
 """
 
 from __future__ import annotations
@@ -35,7 +45,7 @@ from ..errors import WellFormednessError
 from ..relational import Instance, TupleSet
 from . import names
 from .events import Event, EventKind
-from .program import Program
+from .program import Program, program_memo
 
 Pair = tuple[str, str]
 
@@ -167,6 +177,159 @@ def resolve_pte_values(
     return mapping, origin
 
 
+class WalkSourceContext:
+    """Everything a candidate execution derives from its program and its
+    walk -> source assignment alone: walk mappings and origins, PAs,
+    locations, writers per location, ``sloc``, ``po_loc``, ``rf_ptw``,
+    ``ptw_source``, ``rf_pa`` and the per-read indexes of ``fr``,
+    ``fr_va`` and ``fr_pa``.
+
+    One context serves every witness of the program with that assignment
+    (:func:`walk_source_context`); its dicts are shared by those
+    executions and never mutated.  ``error`` is the assignment's
+    well-formedness violation (circular value flow, a dirty-bit write
+    with an untranslated parent), or None.
+    """
+
+    __slots__ = (
+        "error",
+        "walk_source",
+        "mapping_of_walk",
+        "origin_of_walk",
+        "pa_of",
+        "locations",
+        "writers",
+        "remaps_by_target",
+        "read_writers",
+        "fr_va_rows",
+        "fr_pa_rows",
+        "relations",
+    )
+
+    def __init__(
+        self,
+        program: Program,
+        walk_source: dict[str, str],
+        rf_ptw: frozenset[Pair],
+    ) -> None:
+        self.walk_source = walk_source
+        try:
+            mapping, origin = resolve_pte_values(program, walk_source, rf_ptw)
+        except WellFormednessError as exc:
+            self.error = str(exc)
+            return
+        self.error = None
+        self.mapping_of_walk = mapping
+        self.origin_of_walk = origin
+        events = program.events
+
+        # Effective PA of each user-facing memory event.
+        pa_of: dict[str, str] = {}
+        if program.mcm_mode:
+            for eid, event in events.items():
+                if event.is_user and event.is_memory_event:
+                    assert event.va is not None
+                    pa_of[eid] = program.initial_pa(event.va)
+        else:
+            for walk, user in rf_ptw:
+                pa_of[user] = mapping[walk][1]
+        self.pa_of = pa_of
+        locations = {
+            eid: location_of(event, pa_of) for eid, event in events.items()
+        }
+        self.locations = locations
+        writers: dict[Location, list[str]] = {}
+        by_location: dict[Location, list[str]] = {}
+        for eid, event in events.items():
+            loc = locations[eid]
+            if loc is not None:
+                by_location.setdefault(loc, []).append(eid)
+            if event.is_write_like:
+                assert loc is not None
+                writers.setdefault(loc, []).append(eid)
+        self.writers = writers
+        pte_writes_by_va: dict[str, list[str]] = {}
+        remaps_by_target: dict[str, list[str]] = {}
+        for eid, event in events.items():
+            if event.kind is EventKind.PTE_WRITE:
+                assert event.va is not None and event.pa is not None
+                pte_writes_by_va.setdefault(event.va, []).append(eid)
+                remaps_by_target.setdefault(event.pa, []).append(eid)
+        self.remaps_by_target = remaps_by_target
+
+        # fr: each read-like event against the other writers of its
+        # location; fr_va / fr_pa: each user against the remaps of its VA
+        # / PA.  A witness keeps the pairs its co / co_pa admits.
+        self.read_writers = [
+            (eid, tuple(w for w in writers.get(locations[eid], ()) if w != eid))
+            for eid, event in events.items()
+            if event.is_read_like
+        ]
+        self.fr_va_rows = []
+        self.fr_pa_rows = []
+        ptw_source: set[Pair] = set()
+        rf_pa: set[Pair] = set()
+        for walk, user in rf_ptw:
+            va = events[user].va
+            assert va is not None
+            remaps = pte_writes_by_va.get(va)
+            if remaps:
+                self.fr_va_rows.append((user, walk_source.get(walk), remaps))
+            walk_origin = origin[walk]
+            aliases = remaps_by_target.get(pa_of[user])
+            if aliases:
+                self.fr_pa_rows.append((user, walk_origin, aliases))
+            if walk_origin is not None:
+                rf_pa.add((walk_origin, user))
+            # ptw_source: walk invoker -> every other user of the same TLB
+            # entry (§V-A2).
+            invoker = program.walk_invoker(walk)
+            if user != invoker:
+                ptw_source.add((invoker, user))
+
+        # sloc by grouping on location beats the quadratic all-pairs scan.
+        sloc_pairs: set[Pair] = set()
+        for members in by_location.values():
+            for a in members:
+                for b in members:
+                    if a != b:
+                        sloc_pairs.add((a, b))
+        raw = TupleSet._raw
+        sloc = raw(2, frozenset(sloc_pairs))
+        # The template of every witness's relations, in Table I order;
+        # the witness fills the None slots.
+        relations: dict[str, Optional[TupleSet]] = dict(
+            program.static_relations()
+        )
+        relations[names.SLOC] = sloc
+        relations[names.PO_LOC] = relations[names.APO] & sloc
+        for name in (names.RF, names.CO, names.FR, names.COM, names.RFE):
+            relations[name] = None
+        relations[names.RF_PTW] = raw(2, rf_ptw)
+        relations[names.PTW_SOURCE] = raw(2, frozenset(ptw_source))
+        relations[names.RF_PA] = raw(2, frozenset(rf_pa))
+        for name in (names.CO_PA, names.FR_PA, names.FR_VA):
+            relations[name] = None
+        self.relations = relations
+
+
+def walk_source_context(
+    program: Program, walk_source: dict[str, str], rf_ptw: frozenset[Pair]
+) -> WalkSourceContext:
+    """The program's :class:`WalkSourceContext` for one walk -> source
+    assignment, derived on first use and memoized in its
+    :func:`~repro.mtm.program.program_memo`.  Raises the assignment's
+    :class:`WellFormednessError` for every witness that has it."""
+    contexts = program_memo(program).contexts
+    key = frozenset(walk_source.items())
+    context = contexts.get(key)
+    if context is None:
+        context = contexts[key] = WalkSourceContext(program, walk_source, rf_ptw)
+    if context.error is not None:
+        raise WellFormednessError(context.error)
+    return context
+
+
 class Execution:
     """An immutable candidate execution with all Table I relations derived.
 
@@ -174,6 +337,9 @@ class Execution:
     rule (bad rf typing, non-total co, unreachable TLB entries, circular
     PTE value flow, ...).
     """
+
+    #: Restricted views only: their relaxation ``(removed, dropped_rmw)``.
+    _relaxation: Optional[tuple] = None
 
     def __init__(
         self,
@@ -199,28 +365,18 @@ class Execution:
             if a not in events or b not in events:
                 raise WellFormednessError(f"witness edge ({a},{b}) names unknown events")
 
-        self.rf_ptw = self._derive_rf_ptw()
-        self._walk_source = self._split_pte_rf()
-        self.mapping_of_walk, self.origin_of_walk = self._resolve_walk_values()
-        self.pa_of = self._derive_pas()
-        self.locations = {
-            eid: location_of(event, self.pa_of) for eid, event in events.items()
-        }
-        self._writers_cache = self._writers_by_location()
+        self.rf_ptw = derive_rf_ptw(program)
+        context = walk_source_context(program, self._split_pte_rf(), self.rf_ptw)
+        self._walk_source = context.walk_source
+        self.mapping_of_walk = context.mapping_of_walk
+        self.origin_of_walk = context.origin_of_walk
+        self.pa_of = context.pa_of
+        self.locations = context.locations
+        self._writers_cache = context.writers
         self.co = self._close_and_validate_co()
-        self.co_pa = self._close_and_validate_co_pa()
+        self.co_pa = self._close_and_validate_co_pa(context.remaps_by_target)
         self._validate_rf()
-        self.relations = self._build_relations()
-
-    # -- rf_ptw ---------------------------------------------------------
-    def _derive_rf_ptw(self) -> frozenset[Pair]:
-        return derive_rf_ptw(self.program)
-
-    def _walk_of_user(self, eid: str) -> str:
-        for walk, user in self.rf_ptw:
-            if user == eid:
-                return walk
-        raise WellFormednessError(f"{eid}: no sourcing PT walk")
+        self.relations = self._build_relations(context)
 
     # -- PTE value flow --------------------------------------------------
     def _split_pte_rf(self) -> dict[str, str]:
@@ -250,37 +406,7 @@ class Execution:
             sources[dst] = src
         return sources
 
-    def _resolve_walk_values(
-        self,
-    ) -> tuple[dict[str, tuple[str, str]], dict[str, Optional[str]]]:
-        """For each walk: the (va, pa) mapping it loads and the PTE_WRITE it
-        (transitively) originates from (None = initial mapping)."""
-        return resolve_pte_values(self.program, self._walk_source, self.rf_ptw)
-
-    def _derive_pas(self) -> dict[str, str]:
-        """Effective PA accessed by each user-facing memory event."""
-        pas: dict[str, str] = {}
-        if self.program.mcm_mode:
-            for eid, event in self.program.events.items():
-                if event.is_user and event.is_memory_event:
-                    assert event.va is not None
-                    pas[eid] = self.program.initial_pa(event.va)
-            return pas
-        for walk, user in self.rf_ptw:
-            pas[user] = self.mapping_of_walk[walk][1]
-        return pas
-
     # -- coherence orders -------------------------------------------------
-    def _writers_by_location(self) -> dict[Location, list[str]]:
-        out: dict[Location, list[str]] = {}
-        for eid, event in self.program.events.items():
-            if not event.is_write_like:
-                continue
-            loc = self.locations[eid]
-            assert loc is not None
-            out.setdefault(loc, []).append(eid)
-        return out
-
     def _close_and_validate_co(self) -> frozenset[Pair]:
         program = self.program
         for a, b in self._co_input:
@@ -292,7 +418,7 @@ class Execution:
                     f"co ({a},{b}): coherence order relates same-location "
                     f"writes, got {self.locations[a]} vs {self.locations[b]}"
                 )
-        closed = TupleSet.pairs(self._co_input).plus()
+        closed = TupleSet._raw(2, self._co_input).plus()
         if not closed.is_irreflexive():
             raise WellFormednessError("co contains a cycle")
         for loc, writers in self._writers_cache.items():
@@ -304,13 +430,10 @@ class Execution:
                         )
         return frozenset(closed.tuples)
 
-    def _close_and_validate_co_pa(self) -> frozenset[Pair]:
+    def _close_and_validate_co_pa(
+        self, by_target: Mapping[str, list[str]]
+    ) -> frozenset[Pair]:
         program = self.program
-        by_target: dict[str, list[str]] = {}
-        for eid, event in program.events.items():
-            if event.kind is EventKind.PTE_WRITE:
-                assert event.pa is not None
-                by_target.setdefault(event.pa, []).append(eid)
         for a, b in self._co_pa_input:
             ea, eb = program.events[a], program.events[b]
             if ea.kind is not EventKind.PTE_WRITE or eb.kind is not EventKind.PTE_WRITE:
@@ -322,7 +445,7 @@ class Execution:
                     f"co_pa ({a},{b}): alias-creation order relates remaps to "
                     f"the same PA, got {ea.pa} vs {eb.pa}"
                 )
-        closed = TupleSet.pairs(self._co_pa_input).plus()
+        closed = TupleSet._raw(2, self._co_pa_input).plus()
         if not closed.is_irreflexive():
             raise WellFormednessError("co_pa contains a cycle")
         for pa, writers in by_target.items():
@@ -370,141 +493,59 @@ class Execution:
     # ------------------------------------------------------------------
     # Relation construction (Table I + derived helpers)
     # ------------------------------------------------------------------
-    def _build_relations(self) -> dict[str, TupleSet]:
-        program = self.program
-        events = program.events
+    def _build_relations(self, context: WalkSourceContext) -> dict[str, TupleSet]:
+        """The context's relations plus the witness's own: rf, co, fr,
+        com, rfe, co_pa and the fr_pa / fr_va pairs its orders admit."""
+        events = self.program.events
+        co = self.co
+        co_pa = self.co_pa
+        rf_source = {dst: src for src, dst in self._rf}
 
-        # Grouping by location beats the quadratic all-pairs scan.
-        sloc_pairs: set[Pair] = set()
-        by_location: dict[Location, list[str]] = {}
-        for eid, loc in self.locations.items():
-            if loc is not None:
-                by_location.setdefault(loc, []).append(eid)
-        for members in by_location.values():
-            for a in members:
-                for b in members:
-                    if a != b:
-                        sloc_pairs.add((a, b))
+        # fr: a read precedes the co-successors of the write it read from;
+        # reads of the initial value precede every same-location write
+        # (at data locations and, for walks, at PTE locations).
+        fr: set[Pair] = set()
+        for reader, writers in context.read_writers:
+            source = rf_source.get(reader)
+            for writer in writers:
+                if source is None or (source, writer) in co:
+                    fr.add((reader, writer))
+        # fr_va: user-facing event -> PTE writes that remap its VA after
+        # the PTE value it read (initial-mapping readers precede every
+        # remap of their VA).
+        fr_va: set[Pair] = set()
+        for user, source, remaps in context.fr_va_rows:
+            for pte in remaps:
+                if source is None or (source, pte) in co:
+                    fr_va.add((user, pte))
+        # fr_pa: user-facing event accessing PA p -> co_pa-successors of
+        # the remap it read its mapping from (initial readers precede
+        # every alias creation for their PA).
+        fr_pa: set[Pair] = set()
+        for user, origin, aliases in context.fr_pa_rows:
+            for pte in aliases:
+                if origin is None or (origin, pte) in co_pa:
+                    fr_pa.add((user, pte))
 
         raw = TupleSet._raw
-        rf = raw(2, frozenset(self._rf))
-        co = raw(2, frozenset(self.co))
-        fr = raw(2, frozenset(self._derive_fr()))
-        sloc = raw(2, frozenset(sloc_pairs))
-
-        relations: dict[str, TupleSet] = dict(program.static_relations())
-        apo = relations[names.APO]
-        relations[names.SLOC] = sloc
-        relations[names.PO_LOC] = apo & sloc
-        relations[names.RF] = rf
-        relations[names.CO] = co
-        relations[names.FR] = fr
-        relations[names.COM] = rf + co + fr
+        rf_relation = raw(2, self._rf)
+        co_relation = raw(2, co)
+        fr_relation = raw(2, frozenset(fr))
+        relations = dict(context.relations)
+        relations[names.RF] = rf_relation
+        relations[names.CO] = co_relation
+        relations[names.FR] = fr_relation
+        relations[names.COM] = rf_relation + co_relation + fr_relation
         relations[names.RFE] = raw(
             2,
             frozenset(
-                (a, b)
-                for a, b in self._rf
-                if events[a].core != events[b].core
+                (a, b) for a, b in self._rf if events[a].core != events[b].core
             ),
         )
-        relations[names.RF_PTW] = raw(2, frozenset(self.rf_ptw))
-        relations[names.PTW_SOURCE] = raw(
-            2, frozenset(self._derive_ptw_source())
-        )
-        relations[names.RF_PA] = raw(2, frozenset(self._derive_rf_pa()))
-        relations[names.CO_PA] = raw(2, frozenset(self.co_pa))
-        relations[names.FR_PA] = raw(2, frozenset(self._derive_fr_pa()))
-        relations[names.FR_VA] = raw(2, frozenset(self._derive_fr_va()))
+        relations[names.CO_PA] = raw(2, co_pa)
+        relations[names.FR_PA] = raw(2, frozenset(fr_pa))
+        relations[names.FR_VA] = raw(2, frozenset(fr_va))
         return relations
-
-    def _derive_fr(self) -> set[Pair]:
-        """Read -> co-successors of the write it read from; reads of the
-        initial value precede every same-location write (applies at data
-        locations and, for walks, at PTE locations)."""
-        program = self.program
-        writers = self._writers_cache
-        rf_source: dict[str, str] = {}
-        for src, dst in self._rf:
-            rf_source[dst] = src
-        out: set[Pair] = set()
-        for eid, event in program.events.items():
-            if not event.is_read_like:
-                continue
-            loc = self.locations[eid]
-            assert loc is not None
-            source = rf_source.get(eid)
-            for writer in writers.get(loc, ()):
-                if writer == eid:
-                    continue
-                if source is None:
-                    out.add((eid, writer))
-                elif (source, writer) in self.co:
-                    out.add((eid, writer))
-        return out
-
-    def _derive_ptw_source(self) -> set[Pair]:
-        """Walk invoker -> every other user of the same TLB entry (§V-A2)."""
-        program = self.program
-        out: set[Pair] = set()
-        for walk, user in self.rf_ptw:
-            invoker = program.walk_invoker(walk)
-            if user != invoker:
-                out.add((invoker, user))
-        return out
-
-    def _derive_rf_pa(self) -> set[Pair]:
-        """PTE write -> user-facing events that access the mapping it wrote
-        (transitively, through dirty-bit forwarding)."""
-        out: set[Pair] = set()
-        for walk, user in self.rf_ptw:
-            origin = self.origin_of_walk[walk]
-            if origin is not None:
-                out.add((origin, user))
-        return out
-
-    def _derive_fr_va(self) -> set[Pair]:
-        """User-facing event -> PTE writes that remap its VA after the PTE
-        value it read (Table I; initial-mapping readers precede every remap
-        of their VA)."""
-        program = self.program
-        pte_writes_by_va: dict[str, list[str]] = {}
-        for eid, event in program.events.items():
-            if event.kind is EventKind.PTE_WRITE:
-                assert event.va is not None
-                pte_writes_by_va.setdefault(event.va, []).append(eid)
-        out: set[Pair] = set()
-        for walk, user in self.rf_ptw:
-            source = self._walk_source.get(walk)
-            va = program.events[user].va
-            assert va is not None
-            for pte_eid in pte_writes_by_va.get(va, ()):
-                if source is None:
-                    out.add((user, pte_eid))
-                elif (source, pte_eid) in self.co:
-                    out.add((user, pte_eid))
-        return out
-
-    def _derive_fr_pa(self) -> set[Pair]:
-        """User-facing event accessing PA p -> co_pa-successors of the remap
-        it read its mapping from (initial readers precede every alias
-        creation for their PA)."""
-        program = self.program
-        pte_writes_by_target: dict[str, list[str]] = {}
-        for eid, event in program.events.items():
-            if event.kind is EventKind.PTE_WRITE:
-                assert event.pa is not None
-                pte_writes_by_target.setdefault(event.pa, []).append(eid)
-        out: set[Pair] = set()
-        for walk, user in self.rf_ptw:
-            origin = self.origin_of_walk[walk]
-            pa = self.pa_of[user]
-            for pte_eid in pte_writes_by_target.get(pa, ()):
-                if origin is None:
-                    out.add((user, pte_eid))
-                elif (origin, pte_eid) in self.co_pa:
-                    out.add((user, pte_eid))
-        return out
 
     # ------------------------------------------------------------------
     # Views and export
@@ -515,6 +556,20 @@ class Execution:
         except KeyError as exc:
             raise WellFormednessError(f"unknown relation {name!r}") from exc
 
+    def static_memo(self) -> dict:
+        """The memo of compiled subterms over program relations
+        (:mod:`repro.models.plan`): one per program, shared by all its
+        executions; for a restricted view, one per relaxation, shared by
+        every view of it."""
+        memo = program_memo(self.program)
+        relaxation = self._relaxation
+        if relaxation is None:
+            return memo.static
+        view = memo.views.get(relaxation)
+        if view is None:
+            view = memo.views[relaxation] = {}
+        return view
+
     def restricted(
         self, removed: frozenset[str], dropped_rmw: Optional[Pair] = None
     ) -> "Execution":
@@ -523,31 +578,61 @@ class Execution:
         ``dropped_rmw`` pair.
 
         The view is for predicate evaluation (:meth:`MemoryModel.permits
-        <repro.models.MemoryModel.permits>`): it carries ``relations``
-        only — no program and no witness are rebuilt.  The restriction
+        <repro.models.MemoryModel.permits>`): it carries its program,
+        ``relations`` and its relaxation only — no witness is rebuilt,
+        and its program relations and static memo are the relaxation's
+        (:meth:`static_memo`).  The restriction
         lemma in :mod:`repro.synth.relax` says when these are the
-        relations of the execution a relaxation rebuilds.
+        relations of the execution a relaxation rebuilds.  Program
+        relations restrict the same way for every execution of the
+        program, so they are restricted once per relaxation.
         """
-        raw = TupleSet._raw
+        program = self.program
+        relaxation = (removed, dropped_rmw)
+        restrictions = program_memo(program).restrictions
+        restriction = restrictions.get(relaxation)
+        if restriction is None:
+            restriction = restrictions[relaxation] = self._restriction(
+                removed, dropped_rmw
+            )
+        program_relations, dropped = restriction
         relations = dict(self.relations)
-        if removed:
-            # Every tuple that mentions a removed event, per arity, so the
-            # filtering is set algebra.
-            outgoing = {(a, b) for a in removed for b in self.program.events}
-            dropped = {
-                1: {(a,) for a in removed},
-                2: outgoing | {(b, a) for a, b in outgoing},
-            }
-            for name, relation in relations.items():
-                tuples, arity = relation.tuples, relation.arity
-                if not tuples.isdisjoint(dropped[arity]):
-                    relations[name] = raw(arity, tuples - dropped[arity])
-        if dropped_rmw is not None:
-            rmw = relations[names.RMW]
-            relations[names.RMW] = raw(2, rmw.tuples - {dropped_rmw})
+        relations.update(program_relations)
+        if dropped:
+            raw = TupleSet._raw
+            for name in names.WITNESS_RELATIONS:
+                tuples = relations[name].tuples
+                if not tuples.isdisjoint(dropped):
+                    relations[name] = raw(2, tuples - dropped)
         view = object.__new__(Execution)
+        view.program = program
         view.relations = relations
+        view._relaxation = relaxation
         return view
+
+    def _restriction(
+        self, removed: frozenset[str], dropped_rmw: Optional[Pair]
+    ) -> tuple[dict[str, TupleSet], frozenset[Pair]]:
+        """The restricted program relations of one relaxation, and every
+        pair that mentions a removed event, so filtering the witness
+        relations (all binary) is set algebra."""
+        raw = TupleSet._raw
+        outgoing = {(a, b) for a in removed for b in self.program.events}
+        dropped = {
+            1: frozenset((a,) for a in removed),
+            2: frozenset(outgoing | {(b, a) for a, b in outgoing}),
+        }
+        program_relations: dict[str, TupleSet] = {}
+        for name, relation in self.relations.items():
+            if name not in names.PROGRAM_RELATIONS:
+                continue
+            tuples, arity = relation.tuples, relation.arity
+            if not tuples.isdisjoint(dropped[arity]):
+                relation = raw(arity, tuples - dropped[arity])
+            if name == names.RMW and dropped_rmw is not None:
+                relation = raw(2, relation.tuples - {dropped_rmw})
+            program_relations[name] = relation
+        return program_relations, dropped[2]
 
     def to_instance(self) -> Instance:
         """Export as a relational :class:`Instance` (atoms = event ids) for

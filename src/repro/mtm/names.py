@@ -79,3 +79,22 @@ BINARY_RELATIONS = (
     REMAP,
     RMW,
 )
+
+#: Relations the program alone fixes: every candidate execution of a
+#: program has the same value (a restricted view: every view of the same
+#: relaxation).  ``rf_ptw`` and ``ptw_source`` follow from the ghost
+#: structure and positions; the rest are the program's static relations.
+PROGRAM_RELATIONS = frozenset(UNARY_SETS) | {
+    PO,
+    APO,
+    GHOST,
+    REMAP,
+    RMW,
+    RF_PTW,
+    PTW_SOURCE,
+}
+
+#: The binary relations a witness chooses or derives: everything else.
+WITNESS_RELATIONS = tuple(
+    name for name in BINARY_RELATIONS if name not in PROGRAM_RELATIONS
+)

@@ -15,11 +15,25 @@ ill-formed, which is different from an execution being *forbidden*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..errors import WellFormednessError
+from . import names
 from .events import Event, EventKind
+
+
+#: The unary set of each event kind that has one (static_relations).
+_KIND_SETS = {
+    EventKind.READ: names.READ,
+    EventKind.WRITE: names.WRITE,
+    EventKind.PTE_WRITE: names.PTE_WRITE,
+    EventKind.INVLPG: names.INVLPG,
+    EventKind.PT_WALK: names.PT_WALK,
+    EventKind.DIRTY_BIT_WRITE: names.DIRTY_BIT,
+    EventKind.FENCE: names.FENCE,
+    EventKind.TLB_FLUSH: names.TLB_FLUSH,
+}
 
 
 @dataclass(frozen=True)
@@ -103,14 +117,14 @@ class Program:
         return self.parent_of(walk_eid)
 
     def __getstate__(self):
-        """Strip per-object computation memos (the
-        :func:`repro.symmetry.program_symmetry` and
-        :func:`repro.synth.relax.removal_groups` caches) so pickled
-        programs — shard results, suite-store payloads — carry only the
-        structural fields."""
-        state = self.__dict__.copy()
-        state.pop("_symmetry_memo", None)
-        state.pop("_removal_groups_memo", None)
+        """The structural fields plus the program positions, and nothing
+        else: every computation memo (:func:`program_memo`, the symmetry,
+        removal-group, rf_ptw and static-relation caches) is stripped, so
+        pickled programs — shard results, suite-store payloads — carry
+        no derived state.  ``_positions`` stays because validation sets
+        it and unpickling does not validate."""
+        state = {f.name: self.__dict__[f.name] for f in fields(self)}
+        state["_positions"] = self._positions
         return state
 
     def position(self, eid: str) -> tuple[int, int]:
@@ -337,13 +351,27 @@ class Program:
         if cached is not None:
             return cached
         from ..relational import TupleSet
-        from . import names
 
-        events = self.events
-        eids = list(events)
-
-        def unary(predicate) -> TupleSet:
-            return TupleSet.unary(e for e in eids if predicate(events[e]))
+        # One pass sorts the events into the unary sets; everything is
+        # built from eids, so well-formed: skip TupleSet's validation.
+        raw = TupleSet._raw
+        members: dict[str, list[tuple[str]]] = {
+            name: [] for name in names.UNARY_SETS
+        }
+        for eid, event in self.events.items():
+            atom = (eid,)
+            members[names.EVENT].append(atom)
+            kind_set = _KIND_SETS.get(event.kind)
+            if kind_set is not None:
+                members[kind_set].append(atom)
+            if event.is_memory_event:
+                members[names.MEMORY].append(atom)
+                if event.is_user:
+                    members[names.USER].append(atom)
+            if event.is_write_like:
+                members[names.WRITE_LIKE].append(atom)
+            if event.is_read_like:
+                members[names.READ_LIKE].append(atom)
 
         po_pairs: set[tuple[str, str]] = set()
         for thread in self.threads:
@@ -351,43 +379,101 @@ class Program:
                 for j in range(i + 1, len(thread)):
                     po_pairs.add((thread[i], thread[j]))
         apo_pairs: set[tuple[str, str]] = set()
+        positions = self._positions
         by_core: dict[int, list[str]] = {}
-        for eid in eids:
-            by_core.setdefault(self.position(eid)[0], []).append(eid)
-        for members in by_core.values():
-            for a in members:
-                slot_a = self.position(a)[1]
-                for b in members:
-                    if a != b and slot_a < self.position(b)[1]:
+        for eid in self.events:
+            by_core.setdefault(positions[eid][0], []).append(eid)
+        for core_members in by_core.values():
+            for a in core_members:
+                slot_a = positions[a][1]
+                for b in core_members:
+                    if a != b and slot_a < positions[b][1]:
                         apo_pairs.add((a, b))
+        # Event first, then the kind sets: the order relations always had.
         static: dict[str, object] = {
-            names.EVENT: TupleSet.unary(eids),
-            names.READ: unary(lambda e: e.kind is EventKind.READ),
-            names.WRITE: unary(lambda e: e.kind is EventKind.WRITE),
-            names.USER: unary(lambda e: e.is_user and e.is_memory_event),
-            names.MEMORY: unary(lambda e: e.is_memory_event),
-            names.WRITE_LIKE: unary(lambda e: e.is_write_like),
-            names.READ_LIKE: unary(lambda e: e.is_read_like),
-            names.PTE_WRITE: unary(lambda e: e.kind is EventKind.PTE_WRITE),
-            names.INVLPG: unary(lambda e: e.kind is EventKind.INVLPG),
-            names.PT_WALK: unary(lambda e: e.kind is EventKind.PT_WALK),
-            names.DIRTY_BIT: unary(
-                lambda e: e.kind is EventKind.DIRTY_BIT_WRITE
-            ),
-            names.FENCE: unary(lambda e: e.kind is EventKind.FENCE),
-            names.TLB_FLUSH: unary(lambda e: e.kind is EventKind.TLB_FLUSH),
-            names.PO: TupleSet.pairs(po_pairs),
-            names.APO: TupleSet.pairs(apo_pairs),
-            names.GHOST: TupleSet.pairs(
-                (parent, g)
-                for parent, ghosts in self.ghosts.items()
-                for g in ghosts
-            ),
-            names.REMAP: TupleSet.pairs(self.remap),
-            names.RMW: TupleSet.pairs(self.rmw),
+            name: raw(1, frozenset(members[name]))
+            for name in (
+                names.EVENT,
+                names.READ,
+                names.WRITE,
+                names.USER,
+                names.MEMORY,
+                names.WRITE_LIKE,
+                names.READ_LIKE,
+                names.PTE_WRITE,
+                names.INVLPG,
+                names.PT_WALK,
+                names.DIRTY_BIT,
+                names.FENCE,
+                names.TLB_FLUSH,
+            )
         }
+        static.update(
+            {
+                names.PO: raw(2, frozenset(po_pairs)),
+                names.APO: raw(2, frozenset(apo_pairs)),
+                names.GHOST: raw(
+                    2,
+                    frozenset(
+                        (parent, g)
+                        for parent, ghosts in self.ghosts.items()
+                        for g in ghosts
+                    ),
+                ),
+                names.REMAP: TupleSet.pairs(self.remap),
+                names.RMW: TupleSet.pairs(self.rmw),
+            }
+        )
         object.__setattr__(self, "_static_relations", static)
         return static
+
+
+class ProgramMemo:
+    """What every candidate execution of one program shares, memoized
+    once per program (see docs/ARCHITECTURE.md, "Per-execution
+    evaluation").
+
+    ``static``
+        Values of the compiled axiom subterms that read program
+        relations only (:mod:`repro.models.plan`), by global node id.
+    ``views``
+        The same, per relaxation ``(removed, dropped_rmw)``, for the
+        restricted views of :meth:`Execution.restricted
+        <repro.mtm.Execution.restricted>`.
+    ``restrictions``
+        Per relaxation: the restricted program relations and the tuples
+        a restriction drops.
+    ``contexts``
+        Walk-source contexts by walk -> source assignment
+        (:func:`repro.mtm.execution.walk_source_context`).
+
+    Lives from a program's first execution until the program loop
+    finishes the program (:func:`release_program_memo`); never pickled.
+    """
+
+    __slots__ = ("static", "views", "restrictions", "contexts")
+
+    def __init__(self) -> None:
+        self.static: dict = {}
+        self.views: dict = {}
+        self.restrictions: dict = {}
+        self.contexts: dict = {}
+
+
+def program_memo(program: Program) -> ProgramMemo:
+    """The program's :class:`ProgramMemo`, created on first use."""
+    memo = program.__dict__.get("_memo")
+    if memo is None:
+        memo = ProgramMemo()
+        object.__setattr__(program, "_memo", memo)
+    return memo
+
+
+def release_program_memo(program: Program) -> None:
+    """Drop the program's :class:`ProgramMemo`: called when a pass is
+    done with the program, so memos never outlive it on the programs a
+    result keeps."""
+    program.__dict__.pop("_memo", None)
 
 
 # ----------------------------------------------------------------------

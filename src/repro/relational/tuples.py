@@ -209,36 +209,7 @@ class TupleSet:
 
     def is_acyclic(self) -> bool:
         """True iff the binary relation has no cycle (including self-loops)."""
-        if self._arity != 2:
-            raise ArityError(f"acyclicity requires arity 2, got {self._arity}")
-        successors: dict[Atom, list[Atom]] = {}
-        for a, b in self._tuples:
-            successors.setdefault(a, []).append(b)
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: dict[Atom, int] = {}
-        for root in successors:
-            if color.get(root, WHITE) != WHITE:
-                continue
-            stack: list[tuple[Atom, Iterator[Atom]]] = [
-                (root, iter(successors.get(root, ())))
-            ]
-            color[root] = GRAY
-            while stack:
-                node, children = stack[-1]
-                advanced = False
-                for child in children:
-                    state = color.get(child, WHITE)
-                    if state == GRAY:
-                        return False
-                    if state == WHITE:
-                        color[child] = GRAY
-                        stack.append((child, iter(successors.get(child, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
-        return True
+        return is_acyclic_union((self,))
 
     def is_irreflexive(self) -> bool:
         if self._arity != 2:
@@ -263,3 +234,45 @@ class TupleSet:
                 if (a, b) not in self._tuples and (b, a) not in self._tuples:
                     return False
         return True
+
+
+def is_acyclic_union(relations: Iterable[TupleSet]) -> bool:
+    """True iff the union of binary relations has no cycle (self-loops
+    included), searched over the parts without building the union."""
+    successors: dict[Atom, list[Atom]] = {}
+    for relation in relations:
+        if relation._arity != 2:
+            raise ArityError(f"acyclicity requires arity 2, got {relation._arity}")
+        for a, b in relation._tuples:
+            targets = successors.get(a)
+            if targets is None:
+                successors[a] = [b]
+            else:
+                targets.append(b)
+    # Depth-first search; ``path`` holds the nodes on the stack, ``done``
+    # the nodes proven to reach no cycle (sinks are never pushed).
+    done: set[Atom] = set()
+    for root in successors:
+        if root in done:
+            continue
+        path = {root}
+        stack: list[tuple[Atom, Iterator[Atom]]] = [(root, iter(successors[root]))]
+        while stack:
+            node, children = stack[-1]
+            for child in children:
+                if child in path:
+                    return False
+                if child in done:
+                    continue
+                grandchildren = successors.get(child)
+                if grandchildren is None:
+                    done.add(child)
+                    continue
+                path.add(child)
+                stack.append((child, iter(grandchildren)))
+                break
+            else:
+                path.discard(node)
+                done.add(node)
+                stack.pop()
+    return True

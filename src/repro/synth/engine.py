@@ -30,7 +30,10 @@ conformance (:mod:`repro.conformance`) runs one query per (reference,
 subject) pair over the same enumeration.  The loop owns what the
 queries share: deadline polls, program spans, symmetry analysis and
 orbit-cache replay, lazy keys and ranks, the per-pass minimality memo,
-representative selection, SAT-counter crediting and stage timing.
+representative selection, SAT-counter crediting and stage timing.  It
+also ends each program's memos (:func:`~repro.mtm.release_program_memo`)
+when it is done with the program, so the programs a result keeps hold
+none.
 
 With ``config.symmetry`` (default on), :mod:`repro.symmetry` quotients
 the work first: each program's automorphism group prunes its witness
@@ -61,7 +64,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..errors import SolverInterrupted
 from ..models import AxiomTable, MemoryModel, x86t_elt
-from ..mtm import Execution, Program
+from ..mtm import Execution, Program, release_program_memo
 from ..obs import current_registry, current_tracer
 from ..resilience import deadline_scope
 from ..symmetry import (
@@ -617,6 +620,7 @@ def run_queries(
                 timed_out = True
                 break
             finally:
+                release_program_memo(program)
                 tracer.end(span)
                 generated = clock()
 

@@ -108,6 +108,6 @@ def test_vm_programs_exercise_translation(program) -> None:
 def test_pair_classifier_shares_catalog_axioms() -> None:
     classifier = PairClassifier(x86t_elt(), x86t_amd_bug())
     # x86t_amd_bug is x86t_elt minus invlpg: all four of its axioms are
-    # shared, so the slot list holds exactly x86t_elt's five axioms.
+    # shared, so an execution costs exactly x86t_elt's five axioms.
     assert classifier.shared_axiom_count == 4
-    assert len(classifier._axioms) == 5
+    assert classifier.distinct_axiom_count == 5

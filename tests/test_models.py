@@ -204,15 +204,41 @@ class TestVerdictApi:
         assert evaluated == [True]
 
     def test_permits_agrees_with_check_on_every_bound5_execution(self) -> None:
-        from repro.models import catalog_models
+        """Every verdict path agrees, and every compiled axiom verdict
+        equals its predicate called on the concrete vocabulary (the
+        reference), on each execution and on each restricted view its
+        relaxations produce.  A predicate that does not compile takes
+        the fallback and gives the reference verdict too."""
+        from repro.models import Axiom, Evaluation, catalog_models
+        from repro.models.plan import plan_of
+        from repro.mtm import Vocabulary
         from repro.synth import (
             SynthesisConfig,
             enumerate_programs,
             enumerate_witnesses,
         )
+        from repro.synth.relax import relaxations
 
-        models = catalog_models().values()
-        count = 0
+        predicate_calls = []
+
+        def co_one_chain(v) -> bool:
+            # TupleSet.is_total_order_on has no symbolic counterpart.
+            predicate_calls.append(True)
+            return v.co.is_total_order_on({a for pair in v.co for a in pair})
+
+        assert plan_of(co_one_chain) is None
+        predicate_calls.clear()
+        uncompiled = Axiom("co_one_chain", co_one_chain)
+        models = list(catalog_models().values())
+        models.append(MemoryModel("with_fallback", [uncompiled]))
+        axioms = {(a.name, a.predicate): a for m in models for a in m.axioms}
+        assert all(
+            plan_of(a.predicate) is not None
+            for a in axioms.values()
+            if a is not uncompiled
+        )
+        count = views = 0
+        verdicts = set()
         for program in enumerate_programs(SynthesisConfig(bound=5)):
             for execution in enumerate_witnesses(program):
                 count += 1
@@ -220,4 +246,25 @@ class TestVerdictApi:
                     assert model.permits(execution) == (
                         model.check(execution).permitted
                     ), (model.name, execution)
+                restricted = [
+                    execution.restricted(removed, dropped)
+                    for removed, dropped in relaxations(program)
+                    if len(removed) < len(program.events)
+                ]
+                for view in [execution] + restricted:
+                    views += 1
+                    reference = Vocabulary(view.relations)
+                    evaluation = Evaluation(view)
+                    for axiom in axioms.values():
+                        compiled = axiom.holds(view, evaluation)
+                        assert compiled == axiom.predicate(reference), (
+                            axiom.name,
+                            execution,
+                        )
+                        verdicts.add((axiom.name, compiled))
         assert count > 50
+        # One predicate call per permits() and check() of the fallback
+        # model, and per holds() and reference call on each view.
+        assert len(predicate_calls) == 2 * count + 2 * views
+        assert ("co_one_chain", True) in verdicts
+        assert ("co_one_chain", False) in verdicts

@@ -3,6 +3,8 @@ relations, anchored on the paper's figures."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import WellFormednessError
@@ -17,7 +19,7 @@ from repro.litmus.figures import (
     fig10b_dirtybit3,
     fig11_stale_mapping_after_ipi,
 )
-from repro.mtm import Execution, ProgramBuilder, names
+from repro.mtm import Execution, ProgramBuilder, names, program_memo
 
 
 class TestRfPtwDerivation:
@@ -248,3 +250,64 @@ class TestDerivedRelations:
         instance = ex.execution.to_instance()
         assert instance.relation(names.RF) == ex.execution.relation(names.RF)
         assert set(instance.atoms) == set(ex.execution.program.eids)
+
+
+class TestWalkSourceContext:
+    """Every witness with one walk -> source assignment shares one
+    derived context; the result must be what a fresh derivation gives."""
+
+    @staticmethod
+    def _configs():
+        from repro.synth import SynthesisConfig
+
+        yield from (SynthesisConfig(bound=bound) for bound in range(2, 7))
+        yield SynthesisConfig(bound=3, mcm_mode=True, max_threads=3)
+
+    def test_warm_derivation_equals_a_memo_free_one(self) -> None:
+        from repro.synth import enumerate_programs, enumerate_witnesses
+
+        count = 0
+        for config in self._configs():
+            for program in enumerate_programs(config):
+                # Enumeration warms every context of the program.
+                for witness in list(enumerate_witnesses(program)):
+                    witness_args = (witness._rf, witness._co_input, witness._co_pa_input)
+                    warm = Execution(program, *witness_args)
+                    # A pickle round trip is a copy without memos.
+                    cold_program = pickle.loads(pickle.dumps(program))
+                    assert "_memo" not in cold_program.__dict__
+                    cold = Execution(cold_program, *witness_args)
+                    assert warm.relations == cold.relations
+                    assert list(warm.relations) == list(cold.relations)
+                    assert (warm.co, warm.co_pa) == (cold.co, cold.co_pa)
+                    assert warm.pa_of == cold.pa_of
+                    assert warm.locations == cold.locations
+                    count += 1
+        assert count > 800
+
+    def test_cached_assignment_still_checks_each_witness(self) -> None:
+        b = ProgramBuilder()
+        c0 = b.thread()
+        w0 = c0.write("x")
+        w1 = c0.write("y")
+        r2 = c0.read("y")
+        program = b.build()
+        Execution(program)  # warms the one context (no PTE rf edges)
+        with pytest.raises(WellFormednessError, match="different locations"):
+            Execution(program, rf=[(w0.eid, r2.eid)])
+        with pytest.raises(WellFormednessError, match="same-location"):
+            Execution(program, co=[(w0.eid, w1.eid)])
+        assert len(program_memo(program).contexts) == 1
+
+    def test_assignment_errors_raise_for_every_witness(self) -> None:
+        b = ProgramBuilder()
+        b.map("x", "pa_a")
+        c0 = b.thread()
+        w0 = c0.write("x")
+        r1 = c0.read("x", walk=b.walk_of(w0))
+        program = b.build()
+        circular = (b.dirty_of(w0).eid, b.walk_of(w0).eid)
+        for rf in ([circular], [circular, (w0.eid, r1.eid)]):
+            with pytest.raises(WellFormednessError, match="circular"):
+                Execution(program, rf=rf)
+        assert len(program_memo(program).contexts) == 1

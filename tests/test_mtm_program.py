@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import VocabularyError, WellFormednessError
@@ -240,3 +243,49 @@ class TestProgramValidation:
         program = b.build()
         # W + Wdb + walk + R + walk = 5 (instruction bound counts ghosts).
         assert program.size == 5
+
+
+class TestPickledPrograms:
+    def test_pickles_carry_no_memos(self) -> None:
+        """Shard results and suite-store payloads pickle programs and
+        executions: after enumeration, evaluation and minimality fill
+        every memo, an unpickled program holds only its dataclass
+        fields plus ``_positions``, and an execution pickles no memo."""
+        from repro.models import x86t_elt
+        from repro.mtm import Execution
+        from repro.synth import (
+            SynthesisConfig,
+            enumerate_programs,
+            enumerate_witnesses,
+            is_minimal,
+        )
+        from repro.symmetry import program_symmetry
+
+        structural = {f.name for f in dataclasses.fields(Program)}
+        structural.add("_positions")
+        model = x86t_elt()
+        checked = 0
+        for program in enumerate_programs(SynthesisConfig(bound=5)):
+            executions = list(enumerate_witnesses(program))
+            for execution in executions:
+                if model.forbids(execution):
+                    is_minimal(execution, model)
+            program_symmetry(program)
+            assert set(program.__dict__) > structural  # memos were made
+            assert set(pickle.loads(pickle.dumps(program)).__dict__) == structural
+            for execution in executions:
+                payload = pickle.dumps(execution)
+                for memo_class in (b"ProgramMemo", b"WalkSourceContext"):
+                    assert memo_class not in payload
+                restored = pickle.loads(payload)
+                assert set(restored.program.__dict__) == structural
+                fresh = Execution(
+                    pickle.loads(pickle.dumps(program)),
+                    execution._rf,
+                    execution._co_input,
+                    execution._co_pa_input,
+                )
+                assert restored.__dict__.keys() == fresh.__dict__.keys()
+                assert restored.relations == fresh.relations
+                checked += 1
+        assert checked > 50
