@@ -149,12 +149,16 @@ class DifferentialOracle:
         return judgment
 
     # -- evaluation -----------------------------------------------------
-    def _is_minimal(self, execution: Execution, execution_key: tuple) -> bool:
+    def _is_minimal(
+        self, execution: Execution, execution_key: tuple, evaluation: Evaluation
+    ) -> bool:
         if self._use_shared_minimality:
-            return cached_is_minimal(execution, self.reference, execution_key)
+            return cached_is_minimal(
+                execution, self.reference, execution_key, evaluation
+            )
         verdict = self._minimal_cache.get(execution_key)
         if verdict is None:
-            verdict = is_minimal(execution, self.reference)
+            verdict = is_minimal(execution, self.reference, evaluation)
             self._minimal_cache[execution_key] = verdict
         return verdict
 
@@ -173,7 +177,8 @@ class DifferentialOracle:
     def _evaluate_pass(self, program: Program, sym, want_representative: bool):
         counts = [0, 0, 0, 0]  # bp, bf, orf, osf
         signatures: set = set()
-        #: (execution_key, witness_rank, execution, violated axioms)
+        #: (execution_key, witness_rank, execution, violated axioms,
+        #: evaluation)
         discriminating: list = []
         total = 0
         truncated = False
@@ -186,7 +191,7 @@ class DifferentialOracle:
                 truncated = True
                 break
             # One evaluation serves the verdict pair and, when the
-            # reference forbids, its violated axioms.
+            # reference forbids, its violated axioms and minimality.
             evaluation = Evaluation(execution)
             ref_permits, sub_permits = verdicts(execution, evaluation)
             if ref_permits:
@@ -213,7 +218,7 @@ class DifferentialOracle:
                 program, execution._rf, execution.co, execution.co_pa
             )
             discriminating.append(
-                (execution_key, witness_rank, execution, violated)
+                (execution_key, witness_rank, execution, violated, evaluation)
             )
         if truncated:
             self.stats.truncated += 1
@@ -238,10 +243,10 @@ class DifferentialOracle:
         representative = None
         minimal = False
         for candidate in sorted(discriminating, key=lambda item: item[:2]):
-            if self._is_minimal(candidate[2], candidate[0]):
+            if self._is_minimal(candidate[2], candidate[0], candidate[4]):
                 minimal = True
                 if want_representative:
-                    representative = candidate
+                    representative = candidate[:4]
                 break
         summary = ClassSummary(
             counts=tuple(counts),

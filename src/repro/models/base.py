@@ -64,6 +64,22 @@ class Axiom:
             )
         return result
 
+    def violation(
+        self, execution: Execution, evaluation: Optional[Evaluation] = None
+    ) -> Optional[frozenset]:
+        """The atoms of one violation of this axiom on ``execution`` that
+        survives every restricted view keeping them — the recorded cycle
+        of an acyclicity axiom, or one offending tuple — read from the
+        execution's shared ``evaluation``.  None when the axiom holds,
+        or when its plan yields no such violation
+        (:meth:`repro.models.plan.Node.violation`)."""
+        root = plan_of(self.predicate)
+        if root is None:
+            return None
+        if evaluation is None:
+            evaluation = Evaluation(execution)
+        return root.violation(evaluation)
+
     def formula(self) -> Formula:
         """Symbolic form over the Table I vocabulary."""
         result = self.predicate(symbolic_vocabulary())

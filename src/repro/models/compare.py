@@ -92,13 +92,17 @@ class AxiomTable:
             {(a.name, a.predicate) for axioms in self._axioms for a in axioms}
         )
 
-    def evaluator(self, execution: Execution):
+    def evaluator(
+        self, execution: Execution, evaluation: Optional[Evaluation] = None
+    ):
         """A ``permits(model_index) -> bool`` callable for one execution.
-        Every model reads the execution's one :class:`Evaluation`, so an
-        axiom shared by several models, and every subterm shared by
-        several axioms, is evaluated once; each model keeps its
+        Every model reads the execution's one :class:`Evaluation`
+        (``evaluation`` when given, so a caller can read more from it),
+        so an axiom shared by several models, and every subterm shared
+        by several axioms, is evaluated once; each model keeps its
         first-false short-circuit."""
-        evaluation = Evaluation(execution)
+        if evaluation is None:
+            evaluation = Evaluation(execution)
         axioms_of = self._axioms
 
         def permits(model_index: int) -> bool:

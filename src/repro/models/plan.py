@@ -22,6 +22,36 @@ an emptiness test.  A union's static operands fold into one static node,
 and an intersection, join or product whose static operand is empty is
 empty without evaluating the other side.
 
+Violations that survive restriction
+-----------------------------------
+§IV-B minimality (:mod:`repro.synth.relax`) asks whether a restricted
+view — every relation cut down to the surviving atoms
+(:meth:`repro.mtm.Execution.restricted`) — still violates an axiom.
+Two flags, set once when a node is interned, say how its value moves
+under such a restriction:
+
+* ``monotone``: the value can only shrink.  It holds when no difference
+  appears below the node (every other operator is monotone in its
+  operands, and a restricted relation is a subset of the original).
+* ``pointwise``: every tuple of the value whose atoms all survive stays
+  in it.  It holds for relations and constants, for union,
+  intersection, product and transpose of pointwise nodes, and for a
+  pointwise node minus a monotone one.  It fails for join and closure,
+  whose intermediate atoms may be removed.
+
+A violated acyclicity node records the cycle its search met next to
+its verdict, in the same memo, so a static violation is shared the way
+a static verdict is.  A violated
+formula node whose operands are pointwise yields the atoms of one
+violation (:meth:`Node.violation`): the recorded cycle for ``acyclic``,
+one offending tuple for ``no x``, ``irreflexive x`` and ``no (a & b)``.
+A restriction that keeps those atoms keeps every edge of that cycle (or
+that tuple), so the formula stays violated.  Any other formula node
+yields None.  The search returns whichever cycle it meets first
+(:func:`~repro.relational.tuples.find_cycle_union`); ``check
+--explain`` reports a deterministic one from
+:mod:`repro.models.diagnostics` instead.
+
 The compiler handles what the generic helpers of
 :mod:`repro.relational.ast` (``acyclic``, ``irreflexive``, ``no``,
 ``some``, ``subset``) build over the operators relations share
@@ -40,14 +70,16 @@ from typing import Callable, Optional
 
 from ..mtm import names, symbolic_vocabulary
 from ..relational import ast
-from ..relational.tuples import TupleSet, is_acyclic_union
+from ..relational.tuples import TupleSet, find_cycle_union
 
 
 class Node:
     """One node of the global plan.  ``id`` is its global structural id;
-    ``static`` says whether it reads program relations only."""
+    ``static`` says whether it reads program relations only;
+    ``monotone`` and ``pointwise`` are its restriction flags (module
+    docstring)."""
 
-    __slots__ = ("id", "static")
+    __slots__ = ("id", "static", "monotone", "pointwise")
 
     def value(self, evaluation: "Evaluation"):
         """The node's value in ``evaluation``, through the memo its
@@ -61,6 +93,16 @@ class Node:
 
     def evaluate(self, evaluation: "Evaluation"):
         raise NotImplementedError
+
+    def flags(self) -> tuple[bool, bool]:
+        """``(monotone, pointwise)``, from the operands' flags."""
+        return False, False
+
+    def violation(self, evaluation: "Evaluation") -> Optional[frozenset]:
+        """The atoms of one violation of this formula node that survives
+        every restriction keeping them, or None when the formula holds
+        or its kind yields no such violation."""
+        return None
 
 
 class Evaluation:
@@ -87,12 +129,18 @@ class _Relation(Node):
         # A leaf is read, never memoized.
         return evaluation.relations[self.name]
 
+    def flags(self):
+        return True, True
+
 
 class _Constant(Node):
     __slots__ = ("constant",)
 
     def value(self, evaluation):
         return self.constant
+
+    def flags(self):
+        return True, True
 
 
 class _Union(Node):
@@ -105,6 +153,12 @@ class _Union(Node):
             result = result + part.value(evaluation)
         return result
 
+    def flags(self):
+        return (
+            all(part.monotone for part in self.parts),
+            all(part.pointwise for part in self.parts),
+        )
+
 
 class _Binary(Node):
     """An operator whose value is empty when either operand is empty.
@@ -112,6 +166,10 @@ class _Binary(Node):
     evaluating the other."""
 
     __slots__ = ("left", "right", "arity")
+
+    def flags(self):
+        left, right = self.left, self.right
+        return left.monotone and right.monotone, left.pointwise and right.pointwise
 
     def operands(self, evaluation):
         """Both operand values, or None when one is empty."""
@@ -139,6 +197,9 @@ class _Intersect(_Binary):
 
 class _Join(_Binary):
     __slots__ = ()
+
+    def flags(self):
+        return self.left.monotone and self.right.monotone, False
 
     def evaluate(self, evaluation):
         operands = self.operands(evaluation)
@@ -168,12 +229,27 @@ class _Disjoint(_Binary):
             return True
         return operands[0].tuples.isdisjoint(operands[1].tuples)
 
+    def flags(self):
+        return False, self.left.pointwise and self.right.pointwise
+
+    def violation(self, evaluation):
+        if self.pointwise:
+            operands = self.operands(evaluation)
+            if operands is not None:
+                common = operands[0].tuples & operands[1].tuples
+                if common:
+                    return frozenset(min(common))
+        return None
+
 
 class _Difference(Node):
     __slots__ = ("left", "right")
 
     def evaluate(self, evaluation):
         return self.left.value(evaluation) - self.right.value(evaluation)
+
+    def flags(self):
+        return False, self.left.pointwise and self.right.monotone
 
 
 class _Transpose(Node):
@@ -182,6 +258,9 @@ class _Transpose(Node):
     def evaluate(self, evaluation):
         return self.arg.value(evaluation).t()
 
+    def flags(self):
+        return self.arg.monotone, self.arg.pointwise
+
 
 class _Closure(Node):
     __slots__ = ("arg",)
@@ -189,14 +268,33 @@ class _Closure(Node):
     def evaluate(self, evaluation):
         return self.arg.value(evaluation).plus()
 
+    def flags(self):
+        return self.arg.monotone, False
+
 
 class _Acyclic(Node):
-    """``acyclic(p1 + ... + pn)``: one graph search over the parts."""
+    """``acyclic(p1 + ... + pn)``: one graph search over the parts.  When
+    it fails, the cycle it met is recorded next to the verdict, in the
+    same memo, under the key ``~id``."""
 
     __slots__ = ("parts",)
 
     def evaluate(self, evaluation):
-        return is_acyclic_union([part.value(evaluation) for part in self.parts])
+        cycle = find_cycle_union([part.value(evaluation) for part in self.parts])
+        if cycle is None:
+            return True
+        memo = evaluation.static if self.static else evaluation.dynamic
+        memo[~self.id] = cycle
+        return False
+
+    def flags(self):
+        return False, all(part.pointwise for part in self.parts)
+
+    def violation(self, evaluation):
+        if self.pointwise and not self.value(evaluation):
+            memo = evaluation.static if self.static else evaluation.dynamic
+            return frozenset(memo[~self.id])
+        return None
 
 
 class _Irreflexive(Node):
@@ -204,6 +302,16 @@ class _Irreflexive(Node):
 
     def evaluate(self, evaluation):
         return self.arg.value(evaluation).is_irreflexive()
+
+    def flags(self):
+        return False, self.arg.pointwise
+
+    def violation(self, evaluation):
+        if self.pointwise:
+            loops = [a for a, b in self.arg.value(evaluation) if a == b]
+            if loops:
+                return frozenset((min(loops),))
+        return None
 
 
 class _Empty(Node):
@@ -213,6 +321,16 @@ class _Empty(Node):
 
     def evaluate(self, evaluation):
         return not self.arg.value(evaluation)
+
+    def flags(self):
+        return False, self.arg.pointwise
+
+    def violation(self, evaluation):
+        if self.pointwise:
+            value = self.arg.value(evaluation)
+            if value:
+                return frozenset(min(value.tuples))
+        return None
 
 
 class _NonEmpty(Node):
@@ -246,6 +364,7 @@ def _node(key: tuple, cls, static: bool, **fields) -> Node:
         node.static = static
         for name, value in fields.items():
             setattr(node, name, value)
+        node.monotone, node.pointwise = node.flags()
         _NODES[key] = node
     return node
 

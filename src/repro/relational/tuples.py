@@ -22,7 +22,7 @@ Operators (mirroring Alloy syntax where practical):
 
 from __future__ import annotations
 
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from ..errors import ArityError
 
@@ -239,6 +239,20 @@ class TupleSet:
 def is_acyclic_union(relations: Iterable[TupleSet]) -> bool:
     """True iff the union of binary relations has no cycle (self-loops
     included), searched over the parts without building the union."""
+    return find_cycle_union(relations) is None
+
+
+def find_cycle_union(relations: Iterable[TupleSet]) -> Optional[tuple[Atom, ...]]:
+    """A cycle of the union of binary relations, or None when it is
+    acyclic: atoms ``(a0, ..., ak)`` such that every ``(ai, ai+1)`` and
+    ``(ak, a0)`` is an edge of some part (a self-loop is ``(a0,)``).
+
+    One depth-first search over the parts, without building the union.
+    Which cycle it returns depends on the parts' iteration order, so on
+    the string hash seed; callers that report a cycle to the user want
+    :func:`repro.models.diagnostics.find_cycle`, which walks edges in
+    sorted order.
+    """
     successors: dict[Atom, list[Atom]] = {}
     for relation in relations:
         if relation._arity != 2:
@@ -261,7 +275,14 @@ def is_acyclic_union(relations: Iterable[TupleSet]) -> bool:
             node, children = stack[-1]
             for child in children:
                 if child in path:
-                    return False
+                    # The stack from ``child`` up to ``node`` closes on it.
+                    cycle = []
+                    for entry in reversed(stack):
+                        cycle.append(entry[0])
+                        if entry[0] == child:
+                            break
+                    cycle.reverse()
+                    return tuple(cycle)
                 if child in done:
                     continue
                 grandchildren = successors.get(child)
@@ -275,4 +296,4 @@ def is_acyclic_union(relations: Iterable[TupleSet]) -> bool:
                 path.discard(node)
                 done.add(node)
                 stack.pop()
-    return True
+    return None

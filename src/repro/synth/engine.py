@@ -63,7 +63,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 from ..errors import SolverInterrupted
-from ..models import AxiomTable, MemoryModel, x86t_elt
+from ..models import AxiomTable, Evaluation, MemoryModel, x86t_elt
 from ..mtm import Execution, Program, release_program_memo
 from ..obs import current_registry, current_tracer
 from ..resilience import deadline_scope
@@ -85,10 +85,10 @@ from .skeletons import enumerate_programs
 from .witnesses import enumerate_witnesses
 
 
-def _uncached_is_minimal(execution, model, execution_key) -> bool:
+def _uncached_is_minimal(execution, model, execution_key, evaluation=None) -> bool:
     """The fresh-path minimality check (same signature as
     :func:`~repro.synth.relax.cached_is_minimal`, no shared state)."""
-    return is_minimal(execution, model)
+    return is_minimal(execution, model, evaluation)
 
 #: Order keys are tuples of ints; comparisons only ever happen between
 #: keys produced by the same enumeration scheme.
@@ -382,10 +382,11 @@ def run_queries(
     for every query: candidates are checked for §IV-B minimality under
     ``query.model`` — once per (model, canonical key) per pass, through
     :func:`~repro.synth.relax.cached_is_minimal` when
-    ``config.incremental`` is on — each distinct minimal key counts once
-    in ``stats.minimal``, and each program's smallest ``(canonical key,
-    witness sort key)`` minimal candidate competes for its class entry
-    (:func:`_fold`).
+    ``config.incremental`` is on, in the witness's one evaluation, whose
+    recorded violation usually decides the check — each distinct
+    minimal key counts once in ``stats.minimal``, and each program's
+    smallest ``(canonical key, witness sort key)`` minimal candidate
+    competes for its class entry (:func:`_fold`).
 
     With ``config.symmetry``, each program's witness stream arrives
     orbit-pruned and weighted (see :func:`witness_stream_factory`), and
@@ -518,7 +519,8 @@ def run_queries(
                         timed_out = True
                         break
                     started = clock()
-                    permits = evaluator(execution)
+                    evaluation = Evaluation(execution)
+                    permits = evaluator(execution, evaluation)
                     key_memo: list = []
 
                     def execution_key_of():
@@ -539,7 +541,7 @@ def run_queries(
                         if minimal is None:
                             checked = clock()
                             minimal = check_minimal(
-                                execution, query.model, execution_key
+                                execution, query.model, execution_key, evaluation
                             )
                             minimality_s += clock() - checked
                             memo[execution_key] = minimal

@@ -59,12 +59,55 @@ Proof.
 
 Hence :meth:`Execution.restricted <repro.mtm.Execution.restricted>` is
 the one completion's relation set, and ``model.permits`` on it is the
-relaxation's verdict.  The other relaxations (about 12% at bound 8: a
-removed write or PTE write fed a survivor) rebuild the relaxed program
-and re-complete values, locations and coherence
-(:func:`relaxed_completions`; ``tests/test_relax_completion.py``).
+relaxation's verdict.  The other relaxations (a removed write or PTE
+write fed a survivor) rebuild the relaxed program and re-complete
+values, locations and coherence (:func:`relaxed_completions`;
+``tests/test_relax_completion.py``).
 ``tests/test_relax_restriction.py`` checks the lemma against the rebuild
 on every relaxation of every enumerated execution up to bound 6.
+
+Corollary: relaxations that leave the parent's violation intact
+---------------------------------------------------------------
+Let the parent violate an axiom whose compiled formula yields the atoms
+A of one violation (:meth:`Axiom.violation
+<repro.models.Axiom.violation>`): the cycle its acyclicity search
+recorded, or one offending tuple of ``no x``, ``irreflexive x`` or ``no
+(a & b)``.  A group removal that satisfies the lemma's hypothesis and
+removes no atom of A does not become permitted.
+
+Proof.  Let S be the survivors, so A ⊆ S.  By the lemma, every relation
+of the relaxed execution is the parent's restricted to S: it keeps
+exactly the parent's tuples whose atoms all lie in S.  By induction
+over the axiom's plan (:mod:`repro.models.plan`), a *pointwise* node
+keeps every parent tuple whose atoms lie in S, and a *monotone* node
+gains no tuple; the operands of a formula that yields atoms are
+pointwise.  So every edge of the recorded cycle, or the offending
+tuple, is still in the relaxed relations, the axiom is still violated,
+and the relaxed execution is forbidden.  An rmw drop removes a pair,
+not an atom, so it is never decided this way.
+
+Decision order of :func:`is_minimal`
+------------------------------------
+Minimality is a conjunction over relaxations, so any order gives the
+same verdict, and the first relaxation that stays forbidden decides:
+
+1. the parent's violation: a group removal that keeps value flow and
+   removes no atom of it is forbidden by the corollary — no view is
+   built;
+2. restricted views, rmw drops included, in declared order
+   (:func:`relaxation_becomes_permitted`);
+3. rebuilds last: a rebuild derives a new program and every
+   completion of its witness, several times the cost of a view.
+
+At bound 8 (``synthesize --bound 8``), 24,570 checks end with 246
+minimal, and 882 relaxations are rebuilt (3,510 when relaxations were
+decided in declared order).  A rebuild runs only when every view
+became permitted, so no cycle can decide the check, and the rebuild
+count does not depend on which cycle the search met; how many views
+are evaluated does, and with it on the string hash seed.
+``tests/test_relax_violation.py`` holds :func:`is_minimal` to the plain
+conjunction and every certificate to the predicate called on the
+restricted view.
 """
 
 from __future__ import annotations
@@ -72,9 +115,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Iterator, Optional
 
-from ..models import MemoryModel
+from ..models import Evaluation, MemoryModel
 from ..mtm import EventKind, Execution, Program
 from ..mtm.execution import derive_rf_ptw
+from ..obs import current_registry
 from .witnesses import enumerate_witnesses_constrained
 
 Pair = tuple[str, str]
@@ -254,7 +298,9 @@ def relaxation_becomes_permitted(
     if len(removed) >= len(execution.program.events):
         return True  # the empty execution is trivially permitted
     if keeps_value_flow(execution, removed):
+        current_registry().inc("relax.views_evaluated", informational=True)
         return model.permits(execution.restricted(removed, dropped_rmw))
+    current_registry().inc("relax.relaxations_rebuilt", informational=True)
     return any(
         model.permits(candidate)
         for candidate in relaxed_completions(execution, removed, dropped_rmw)
@@ -270,14 +316,55 @@ def relaxations(program: Program) -> Iterator[tuple[frozenset[str], Optional[Pai
         yield frozenset(), pair
 
 
-def is_minimal(execution: Execution, model: MemoryModel) -> bool:
-    """§IV-B minimality: every relaxation yields a permitted execution."""
-    for group, dropped in relaxations(execution.program):
-        if not relaxation_becomes_permitted(
-            execution, model, removed=group, dropped_rmw=dropped
-        ):
+def is_minimal(
+    execution: Execution,
+    model: MemoryModel,
+    evaluation: Optional[Evaluation] = None,
+) -> bool:
+    """§IV-B minimality: every relaxation yields a permitted execution.
+
+    ``evaluation`` is the execution's :class:`~repro.models.Evaluation`
+    when the caller classified it (a fresh one otherwise): the parent's
+    verdicts and recorded violation are read from it.  Relaxations are
+    decided in the order of the module docstring — the parent's
+    violation first, then restricted views, then rebuilds — and the
+    first that stays forbidden decides.
+    """
+    program = execution.program
+    if evaluation is None:
+        evaluation = Evaluation(execution)
+    atoms = _violation_atoms(execution, model, evaluation)
+    # The atoms are never empty, so a group removing every event meets them.
+    if atoms is not None and any(
+        group.isdisjoint(atoms) and keeps_value_flow(execution, group)
+        for group in removal_groups(program)
+    ):
+        current_registry().inc("relax.decided_by_violation", informational=True)
+        return False
+    rebuilt = []
+    for group, dropped in relaxations(program):
+        if dropped is None and not keeps_value_flow(execution, group):
+            rebuilt.append(group)
+        elif not relaxation_becomes_permitted(execution, model, group, dropped):
             return False
-    return True
+    return all(
+        relaxation_becomes_permitted(execution, model, group) for group in rebuilt
+    )
+
+
+def _violation_atoms(
+    execution: Execution, model: MemoryModel, evaluation: Evaluation
+) -> Optional[frozenset[str]]:
+    """The atoms of a violation of ``model`` that every restricted view
+    keeping them still has: those of the first violated axiom that
+    yields one (:meth:`Axiom.violation <repro.models.Axiom.violation>`),
+    or None."""
+    for axiom in model.axioms:
+        if not axiom.holds(execution, evaluation):
+            atoms = axiom.violation(execution, evaluation)
+            if atoms is not None:
+                return atoms
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -305,7 +392,10 @@ def model_fingerprint(model: MemoryModel) -> tuple:
 
 
 def cached_is_minimal(
-    execution: Execution, model: MemoryModel, execution_key
+    execution: Execution,
+    model: MemoryModel,
+    execution_key,
+    evaluation: Optional[Evaluation] = None,
 ) -> bool:
     """:func:`is_minimal` through the process-level cache.
 
@@ -315,12 +405,13 @@ def cached_is_minimal(
     cache spans runs: per-axiom suites at one bound, sweep points, and
     diff pairs sharing a reference model all hit the same entries.  Used
     by the pipelines only when ``SynthesisConfig.incremental`` is on, so
-    the fresh path stays a cache-free differential oracle.
+    the fresh path stays a cache-free differential oracle.  A miss is
+    decided in the caller's ``evaluation`` when given (:func:`is_minimal`).
     """
     key = (model_fingerprint(model), execution_key)
     cached = _MINIMALITY_CACHE.get(key)
     if cached is None:
-        cached = is_minimal(execution, model)
+        cached = is_minimal(execution, model, evaluation)
         _MINIMALITY_CACHE[key] = cached
         while len(_MINIMALITY_CACHE) > MINIMALITY_CACHE_SIZE:
             _MINIMALITY_CACHE.popitem(last=False)

@@ -12,7 +12,14 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ArityError, SynthesisError
-from repro.models import Axiom, Evaluation, MemoryModel, PairClassifier, x86t_elt
+from repro.models import (
+    Axiom,
+    Evaluation,
+    MemoryModel,
+    PairClassifier,
+    catalog_models,
+    x86t_elt,
+)
 from repro.models import axioms as library
 from repro.models import plan
 from repro.models.plan import plan_of
@@ -160,13 +167,13 @@ def test_one_evaluation_serves_every_consumer(monkeypatch) -> None:
     """The verdict pair, then the reference's violated axioms (the fuzz
     oracle's sequence), search each acyclicity axiom at most once."""
     searches = []
-    search = plan.is_acyclic_union
+    search = plan.find_cycle_union
 
     def counted(relations):
         searches.append(relations)
         return search(relations)
 
-    monkeypatch.setattr(plan, "is_acyclic_union", counted)
+    monkeypatch.setattr(plan, "find_cycle_union", counted)
     reference = x86t_elt()
     subject = reference.without("no_invlpg", ["invlpg"])
     classifier = PairClassifier(reference, subject)
@@ -183,6 +190,57 @@ def test_one_evaluation_serves_every_consumer(monkeypatch) -> None:
         assert (evaluator(0), evaluator(1)) == pair
         forbidden += not pair[0]
     assert forbidden > 10
+
+
+#: Catalog axioms whose violations survive restriction: their plan
+#: yields the atoms of one violation (``Axiom.violation``).
+YIELDS_ATOMS = {"sc_per_loc", "invlpg", "tlb_causality", "sc_order"}
+
+
+def test_catalog_axioms_that_yield_violation_atoms() -> None:
+    axioms = {
+        axiom.name: axiom
+        for model in catalog_models().values()
+        for axiom in model.axioms
+    }
+    # causality's fence_order is a join, rmw_atomicity's fr.co too.
+    assert set(axioms) - YIELDS_ATOMS == {"causality", "rmw_atomicity"}
+    pointwise = {name for name, a in axioms.items() if plan_of(a.predicate).pointwise}
+    assert pointwise == YIELDS_ATOMS
+    violated = set()
+    for execution in _executions(6):
+        evaluation = Evaluation(execution)
+        for name, axiom in axioms.items():
+            atoms = axiom.violation(execution, evaluation)
+            if axiom.holds(execution, evaluation) or name not in YIELDS_ATOMS:
+                assert atoms is None, name
+            else:
+                assert atoms and atoms <= execution.program.events.keys(), name
+                violated.add(name)
+    assert violated == YIELDS_ATOMS
+
+
+@pytest.mark.parametrize(
+    "predicate, monotone, pointwise",
+    [
+        (lambda v: v.co + v.fr, True, True),
+        (lambda v: v.co & v.po.t(), True, True),
+        (lambda v: v.read.product(v.write), True, True),
+        (lambda v: v.co.dot(v.fr), True, False),
+        (lambda v: v.co.plus(), True, False),
+        (lambda v: v.fr - v.fr.dot(v.co), False, True),
+        (lambda v: v.fr - (v.co - v.po), False, False),
+        (lambda v: (v.fr - v.co) + v.rf, False, True),
+        (lambda v: (v.fr - v.co).dot(v.rf), False, False),
+    ],
+)
+def test_restriction_flags(predicate, monotone, pointwise) -> None:
+    expression = plan_of(lambda v: some(predicate(v))).arg
+    assert (expression.monotone, expression.pointwise) == (monotone, pointwise)
+    # ``no x`` (a disjointness test for an intersection) yields atoms
+    # exactly when x is pointwise; ``some x`` never does.
+    assert plan_of(lambda v: no(predicate(v))).pointwise == pointwise
+    assert not plan_of(lambda v: some(predicate(v))).pointwise
 
 
 def test_program_loop_releases_memos() -> None:

@@ -48,7 +48,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.orchestrate import run_sharded
-from repro.synth import SynthesisConfig, synthesize
+from repro.synth import SynthesisConfig, clear_minimality_cache, synthesize
 
 
 def config_for(axiom: str = "sc_per_loc", bound: int = 4) -> SynthesisConfig:
@@ -289,6 +289,26 @@ class TestObservation:
         # The tracer/registry are restored after the with-block.
         assert not current_tracer()
         assert not current_registry()
+
+    def test_minimality_counters_say_how_checks_were_decided(self) -> None:
+        clear_minimality_cache()
+        obs = Observation(enabled=True)
+        with obs:
+            result = synthesize(SynthesisConfig(bound=6))
+        snapshot = obs.registry.snapshot()
+        decided = snapshot["informational"]["counters"]
+        names = (
+            "relax.decided_by_violation",
+            "relax.views_evaluated",
+            "relax.relaxations_rebuilt",
+        )
+        # Most checks end "not minimal" on the parent's violation alone.
+        # Which cycle decides depends on the hash seed, so the counters
+        # stay out of the deterministic snapshot.
+        assert decided["relax.decided_by_violation"] > result.stats.minimal
+        for name in names:
+            assert decided[name] > 0, name
+            assert name not in snapshot["counters"]
 
 
 class TestCrossProcessDeterminism:

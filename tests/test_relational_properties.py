@@ -34,6 +34,7 @@ from repro.relational import (
 )
 from repro.relational.ast import Formula
 from repro.relational.instance import Instance
+from repro.relational.tuples import find_cycle_union, is_acyclic_union
 
 ATOMS = ("a0", "a1")
 R_TUPLES = tuple((x, y) for x in ATOMS for y in ATOMS)
@@ -172,6 +173,23 @@ def test_closure_is_fixpoint(a) -> None:
 @settings(max_examples=100, deadline=None)
 def test_acyclic_iff_closure_irreflexive(a) -> None:
     assert a.is_acyclic() == a.plus().is_irreflexive()
+
+
+@given(st.lists(random_relation(), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_find_cycle_union_returns_a_closed_walk(parts) -> None:
+    cycle = find_cycle_union(parts)
+    union = TupleSet.empty(2)
+    for part in parts:
+        union = union + part
+    assert (cycle is None) == is_acyclic_union(parts)
+    assert (cycle is None) == union.plus().is_irreflexive()
+    if cycle is not None:
+        # Consecutive atoms, and the last back to the first, are union
+        # edges (a self-loop is a one-atom cycle).
+        assert cycle
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            assert (a, b) in union
 
 
 @given(random_relation(), random_relation())
