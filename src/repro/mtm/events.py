@@ -16,7 +16,8 @@ Events come in three layers:
 
 Ghost instructions are never related by ``po``; they attach to their
 invoking instruction through the ``ghost`` relation and inherit its program
-position for same-location ordering (DESIGN.md decision 2).
+position for same-location ordering (docs/ARCHITECTURE.md, "Modelling
+decisions").
 
 Locations are two-tiered: user-facing READ/WRITE events name a *virtual
 address* but dynamically access the *physical address* their translation

@@ -93,7 +93,7 @@ class Program:
     @property
     def size(self) -> int:
         """Instruction count — the synthesis bound counts *all* events,
-        ghosts included (DESIGN.md decision 1)."""
+        ghosts included (docs/ARCHITECTURE.md, "Modelling decisions")."""
         return len(self.events)
 
     @property
@@ -129,7 +129,7 @@ class Program:
 
     def position(self, eid: str) -> tuple[int, int]:
         """(core, slot) program position; ghosts inherit their parent's
-        slot (DESIGN.md decision 2)."""
+        slot (docs/ARCHITECTURE.md, "Modelling decisions")."""
         return self._positions[eid]
 
     def vas(self) -> list[str]:
@@ -446,18 +446,31 @@ class ProgramMemo:
     ``contexts``
         Walk-source contexts by walk -> source assignment
         (:func:`repro.mtm.execution.walk_source_context`).
+    ``order_closures`` / ``co_pa_choices``
+        What the contexts share of the structured witness inputs they
+        check: each writer sequence's adjacent pairs and closure, and
+        each checked co_pa choice (neither depends on the assignment).
 
     Lives from a program's first execution until the program loop
     finishes the program (:func:`release_program_memo`); never pickled.
     """
 
-    __slots__ = ("static", "views", "restrictions", "contexts")
+    __slots__ = (
+        "static",
+        "views",
+        "restrictions",
+        "contexts",
+        "order_closures",
+        "co_pa_choices",
+    )
 
     def __init__(self) -> None:
         self.static: dict = {}
         self.views: dict = {}
         self.restrictions: dict = {}
         self.contexts: dict = {}
+        self.order_closures: dict = {}
+        self.co_pa_choices: dict = {}
 
 
 def program_memo(program: Program) -> ProgramMemo:

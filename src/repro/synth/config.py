@@ -1,9 +1,10 @@
 """Synthesis configuration (the engine's knobs — paper §IV, §V-B).
 
-The instruction ``bound`` counts *all* events including ghosts (DESIGN.md
-decision 1).  The paper sweeps bounds of 4..17 under a one-week timeout on
-a server; this reproduction exposes the same sweep with a configurable
-``time_budget_s`` so benchmarks stay laptop-sized.
+The instruction ``bound`` counts *all* events including ghosts
+(docs/ARCHITECTURE.md, "Modelling decisions").  The paper sweeps bounds
+of 4..17 under a one-week timeout on a server; this reproduction exposes
+the same sweep with a configurable ``time_budget_s`` so benchmarks stay
+laptop-sized.
 """
 
 from __future__ import annotations

@@ -11,13 +11,24 @@ For a fixed program, the dynamic degrees of freedom are (§IV-A):
 
 ``co_pa`` is *not* enumerated: it only feeds ``fr_pa``/``co_pa``, which no
 x86t_elt axiom mentions, so executions differing only in alias-creation
-order are verdict-equivalent.  A canonical linear extension consistent
-with ``co`` is used instead (documented deviation; DESIGN.md).
+order are verdict-equivalent.  A canonical linear extension is used
+instead, consistent with the *adjacent* pairs of ``co`` only, so it can
+contradict ``co`` and drop the witness (docs/ARCHITECTURE.md, "Modelling
+decisions").
 
 The constrained variant re-enumerates completions of a *relaxed* witness
 for the minimality check (§IV-B): surviving rf edges are kept where still
 expressible, dropped reads read the initial value, and partial coherence
 orders are completed in every linear extension.
+
+Each walk -> source combination is one
+:class:`~repro.mtm.execution.WalkSourceContext` of the program: the
+enumerator iterates its scan-ordered writers and readers, and hands every
+witness to :class:`~repro.mtm.Execution`'s structured entry as the
+context, one writer sequence per multi-writer location, its rf edges and
+its co_pa choice.  Coherence holds by construction of the sequences; the
+entry still checks each distinct sequence and rf edge once per context,
+and each co_pa choice once per program.
 
 This module is the *explicit* backend of the engine's witness streams
 (:func:`repro.synth.engine.witness_stream_factory`); the SAT backend's
@@ -36,46 +47,17 @@ shared across suites and pairs through the cache in
 from __future__ import annotations
 
 from itertools import permutations, product
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 from ..errors import WellFormednessError
 from ..mtm import EventKind, Execution, Program
-from ..mtm.execution import derive_rf_ptw, location_of, resolve_pte_values
+from ..mtm.execution import derive_rf_ptw, scan_order, walk_source_context
 
 Pair = tuple[str, str]
 
 
-def _pte_writers_by_va(program: Program) -> dict[str, list[str]]:
-    """PTE-location writers (PTE_WRITE + DIRTY_BIT_WRITE) per VA, in a
-    stable program-scan order."""
-    out: dict[str, list[str]] = {}
-    for eid in _scan(program):
-        event = program.events[eid]
-        if event.kind in (EventKind.PTE_WRITE, EventKind.DIRTY_BIT_WRITE):
-            assert event.va is not None
-            out.setdefault(event.va, []).append(eid)
-    return out
-
-
-def _scan(program: Program) -> list[str]:
-    order: list[str] = []
-    for thread in program.threads:
-        for eid in thread:
-            order.append(eid)
-            order.extend(program.ghosts.get(eid, ()))
-    return order
-
-
-def _walks(program: Program) -> list[str]:
-    return [
-        eid
-        for eid in _scan(program)
-        if program.events[eid].kind is EventKind.PT_WALK
-    ]
-
-
 def _linear_extensions(
-    items: list[str], base: set[Pair]
+    items: tuple[str, ...], base: set[Pair]
 ) -> Iterator[tuple[str, ...]]:
     """All total orders of ``items`` consistent with ``base`` pairs."""
     for perm in permutations(items):
@@ -84,39 +66,43 @@ def _linear_extensions(
             yield perm
 
 
-def _order_pairs(sequence: Iterable[str]) -> list[Pair]:
-    items = list(sequence)
-    return [(items[i], items[i + 1]) for i in range(len(items) - 1)]
-
-
-def _canonical_co_pa(
-    program: Program, co_pairs: set[Pair], must: set[Pair]
-) -> Optional[list[Pair]]:
-    """One co_pa consistent with co (same-location remaps must agree) and
-    with any surviving constraints; None if impossible."""
+def _remap_targets(
+    program: Program, scan: list[str]
+) -> list[tuple[tuple[str, ...], frozenset[str]]]:
+    """The PTE writes of each target PA remapped more than once, in scan
+    order, as (sequence, member set): the lists :func:`_canonical_co_pa`
+    orders, built once per program."""
     by_target: dict[str, list[str]] = {}
-    for eid in _scan(program):
+    for eid in scan:
         event = program.events[eid]
         if event.kind is EventKind.PTE_WRITE:
             assert event.pa is not None
             by_target.setdefault(event.pa, []).append(eid)
+    return [
+        (tuple(writers), frozenset(writers))
+        for writers in by_target.values()
+        if len(writers) >= 2
+    ]
+
+
+def _canonical_co_pa(
+    remap_targets: list[tuple[tuple[str, ...], frozenset[str]]],
+    ordered: set[Pair],
+) -> Optional[frozenset[Pair]]:
+    """One co_pa: per target PA, the first linear extension (in
+    permutation order of the scan-ordered remaps) of the ``ordered``
+    pairs between its remaps — co's adjacent pairs plus any surviving
+    constraints.  None if some PA has no such extension."""
     out: list[Pair] = []
-    for _pa, writers in by_target.items():
-        if len(writers) < 2:
-            continue
+    for writers, members in remap_targets:
         constraints = {
-            (a, b)
-            for a, b in co_pairs | must
-            if a in writers and b in writers
+            (a, b) for a, b in ordered if a in members and b in members
         }
-        found = None
-        for perm in _linear_extensions(writers, constraints):
-            found = perm
-            break
+        found = next(_linear_extensions(writers, constraints), None)
         if found is None:
             return None
-        out.extend(_order_pairs(found))
-    return out
+        out.extend(zip(found, found[1:]))
+    return frozenset(out)
 
 
 def enumerate_witnesses(program: Program) -> Iterator[Execution]:
@@ -138,19 +124,33 @@ def enumerate_witnesses_constrained(
     ``data_rf``: exact surviving data rf edges — edges that are no longer
     same-location are silently dropped (the read takes the initial value).
     ``co_must`` / ``co_pa_must``: pairs every enumerated order must contain.
+
+    Each walk -> source combination reads its
+    :class:`~repro.mtm.execution.WalkSourceContext`, and each witness
+    enters :class:`Execution` through its structured entry.
     """
     co_must = co_must or set()
-    co_pa_must = co_pa_must or set()
+    co_pa_must = set(co_pa_must or ())
     rf_ptw = derive_rf_ptw(program)
-    pte_writers = _pte_writers_by_va(program)
-    walks = _walks(program)
+    events = program.events
+    scan = scan_order(program)
+    remap_targets = _remap_targets(program, scan)
+    pte_writers: dict[str, list[str]] = {}
+    walks: list[str] = []
+    for eid in scan:
+        event = events[eid]
+        if event.kind in (EventKind.PTE_WRITE, EventKind.DIRTY_BIT_WRITE):
+            assert event.va is not None
+            pte_writers.setdefault(event.va, []).append(eid)
+        elif event.kind is EventKind.PT_WALK:
+            walks.append(eid)
 
     source_choices: list[list[Optional[str]]] = []
     for walk in walks:
         if walk_sources is not None and walk in walk_sources:
             source_choices.append([walk_sources[walk]])
         else:
-            va = program.events[walk].va
+            va = events[walk].va
             assert va is not None
             source_choices.append([None] + pte_writers.get(va, []))
 
@@ -159,93 +159,67 @@ def enumerate_witnesses_constrained(
             walk: src for walk, src in zip(walks, combo) if src is not None
         }
         try:
-            mapping, _origin = resolve_pte_values(program, walk_source, rf_ptw)
+            context = walk_source_context(program, walk_source, rf_ptw)
         except WellFormednessError:
             continue
-        pa_of: dict[str, str] = {}
-        if program.mcm_mode:
-            for eid, event in program.events.items():
-                if event.is_user and event.is_memory_event:
-                    assert event.va is not None
-                    pa_of[eid] = program.initial_pa(event.va)
-        else:
-            for walk, user in rf_ptw:
-                pa_of[user] = mapping[walk][1]
-
-        # Locations, writers and readers per location.
-        writers: dict[tuple[str, str], list[str]] = {}
-        readers: dict[str, tuple[str, str]] = {}
-        for eid in _scan(program):
-            event = program.events[eid]
-            loc = location_of(event, pa_of)
-            if loc is None:
-                continue
-            if event.is_write_like:
-                writers.setdefault(loc, []).append(eid)
-            elif event.kind is EventKind.READ:
-                readers[eid] = loc
-
+        writers, readers = context.scan_views(program)
         pte_rf = [(src, walk) for walk, src in walk_source.items()]
 
         # Coherence orders: enumerate linear extensions per location.
         # Surviving co constraints whose endpoints no longer share a
         # location (a relaxation changed the value flow) are dropped.
-        multi_writer_locs = [
-            loc for loc, ws in writers.items() if len(ws) >= 2
-        ]
-        co_options: list[list[tuple[Pair, ...]]] = []
-        for loc in multi_writer_locs:
+        co_options: list[list[tuple[str, ...]]] = []
+        satisfiable = True
+        for members in writers.values():
+            if len(members) < 2:
+                continue
             constraints = {
-                (a, b)
-                for a, b in co_must
-                if a in writers[loc] and b in writers[loc]
+                (a, b) for a, b in co_must if a in members and b in members
             }
-            orders = [
-                tuple(_order_pairs(perm))
-                for perm in _linear_extensions(writers[loc], constraints)
-            ]
+            orders = list(_linear_extensions(members, constraints))
             if not orders:
+                satisfiable = False  # some co_must constraint is unsatisfiable here
                 break
             co_options.append(orders)
-        if len(co_options) != len(multi_writer_locs):
-            continue  # some co_must constraint is unsatisfiable here
+        if not satisfiable:
+            continue
 
         # Data rf choices per read.
-        read_ids = list(readers)
-        rf_choices: list[list[Optional[str]]] = []
+        read_ids = [read for read, _loc, _sources in readers]
         if data_rf is not None:
-            fixed_source: dict[str, Optional[str]] = {r: None for r in read_ids}
+            location_of_read = {read: loc for read, loc, _sources in readers}
+            fixed_source: dict[str, Optional[str]] = dict.fromkeys(read_ids)
             for src, dst in data_rf:
-                if dst in readers and src in writers.get(readers[dst], ()):
+                loc = location_of_read.get(dst)
+                if loc is not None and src in writers.get(loc, ()):
                     fixed_source[dst] = src
-            rf_choices = [[fixed_source[r]] for r in read_ids]
+            rf_choices = [[fixed_source[read]] for read in read_ids]
         else:
-            for r in read_ids:
-                loc = readers[r]
-                user_writers = [
-                    w
-                    for w in writers.get(loc, ())
-                    if program.events[w].kind is EventKind.WRITE
-                ]
-                rf_choices.append([None] + user_writers)
+            rf_choices = [[None, *sources] for _read, _loc, sources in readers]
 
-        for co_combo in product(*co_options):
-            co_pairs: set[Pair] = set()
-            for pairs in co_combo:
-                co_pairs.update(pairs)
-            co_pa = _canonical_co_pa(program, co_pairs, set(co_pa_must))
-            if co_pa is None:
-                continue
+        for co_orders in product(*co_options):
+            co_pa: Optional[frozenset[Pair]] = frozenset()
+            if remap_targets:
+                ordered = {
+                    pair for order in co_orders for pair in zip(order, order[1:])
+                }
+                co_pa = _canonical_co_pa(remap_targets, ordered | co_pa_must)
+                if co_pa is None:
+                    continue
             for rf_combo in product(*rf_choices):
                 rf = list(pte_rf)
                 rf.extend(
-                    (src, r)
-                    for r, src in zip(read_ids, rf_combo)
+                    (src, read)
+                    for read, src in zip(read_ids, rf_combo)
                     if src is not None
                 )
                 try:
                     yield Execution(
-                        program, rf=rf, co=co_pairs, co_pa=co_pa
+                        program,
+                        rf,
+                        co_pa=co_pa,
+                        context=context,
+                        co_orders=co_orders,
                     )
                 except WellFormednessError:
                     continue

@@ -252,6 +252,26 @@ class TestDerivedRelations:
         assert set(instance.atoms) == set(ex.execution.program.eids)
 
 
+class TestRepr:
+    def test_execution_repr_names_its_witness(self) -> None:
+        execution = fig2b_sb_elt().execution
+        text = repr(execution)
+        assert text.startswith("Execution(events=")
+        assert f"rf={sorted(execution._rf)}" in text
+
+    def test_restricted_view_repr_names_its_relaxation(self) -> None:
+        execution = fig10a_ptwalk2().execution
+        program = execution.program
+        removed = frozenset(program.threads[0][:1]) | frozenset(
+            program.ghosts.get(program.threads[0][0], ())
+        )
+        view = execution.restricted(removed)
+        assert repr(view) == (
+            f"Execution(view of {len(program.events)} events, "
+            f"removed={sorted(removed)}, dropped_rmw=None)"
+        )
+
+
 class TestWalkSourceContext:
     """Every witness with one walk -> source assignment shares one
     derived context; the result must be what a fresh derivation gives."""

@@ -110,7 +110,8 @@ class TestFig10a:
 
     def test_sc_per_loc_cycle_goes_through_the_ghost_slot(self) -> None:
         # The coherence cycle needs po_loc(WPTE0 -> Rptw2): ghosts occupy
-        # their parent's program slot (DESIGN.md decision 2).
+        # their parent's program slot (docs/ARCHITECTURE.md, "Modelling
+        # decisions").
         ex = fig10a_ptwalk2()
         x = ex.execution
         assert (ex.eid("WPTE0"), ex.eid("Rptw2")) in x.relation(names.PO_LOC)
