@@ -28,7 +28,7 @@ Subpackages
 ``repro.orchestrate``
     Sharded parallel synthesis: deterministic work partitioning, a
     spawn-safe worker pool, serial-equivalent merging, and the persistent
-    suite store behind resumable runs (``--jobs``/``--cache-dir``).
+    whole-result store (``--jobs``/``--cache-dir``).
 ``repro.conformance``
     Differential conformance: single-pass classification of a bounded
     candidate space under a model pair, discriminating-ELT synthesis,

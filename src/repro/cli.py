@@ -18,12 +18,15 @@ Subcommands mirror the framework's workflow:
   corpus (``--corpus`` / ``--replay``).  Same exit convention as
   ``diff``: 1 when findings exist, 0 when none, 2 on usage errors.
 
-``synthesize``, ``sweep`` and ``diff`` scale across cores and
+``synthesize``, ``sweep``, ``diff`` and ``fuzz`` scale across cores and
 invocations through the :mod:`repro.orchestrate` subsystem: ``--jobs N``
-shards the search over N worker processes (the output suite is identical
-to the serial path's, byte for byte), ``--cache-dir`` persists completed
-shards and suites, and ``--resume`` re-runs an interrupted command
-without redoing finished work.
+shards the search over N worker processes (the output is identical to
+the serial path's, byte for byte), and ``--cache-dir`` persists whole
+results (suites, diff cells, fuzz runs) and reuses them on reruns.
+
+Every subcommand exits 2 on a configuration error (a bad flag value,
+an unknown axiom) and 3 when a shard fails; a failed run prints and
+writes no result.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from .errors import ShardFailure, SynthesisError
 from .litmus import format_execution, parse_elt
 from .models import CATALOG, MemoryModel, x86t_elt
 from .reporting import (
@@ -139,53 +143,19 @@ def _finish_observation(
 
 
 def _orchestration(args: argparse.Namespace):
-    """Validate the orchestration arguments and build the run's
-    ``(store, retry, faults)``: the suite store requested by
-    --cache-dir (or None), the RetryPolicy from --max-retries /
-    --shard-timeout, and the --chaos FaultPlan (or None).
+    """Validate the orchestration arguments and return the suite store
+    requested by --cache-dir (or None).
 
     Every orchestrating subcommand calls this once; a bad argument is a
     usage error (exit 2), which keeps exit 1 free for the subcommands
     that give it a meaning."""
     if args.jobs < 1:
         raise _usage_error(f"--jobs must be positive, got {args.jobs}")
-    if args.shards is not None and args.shards < 1:
-        raise _usage_error(f"--shards must be positive, got {args.shards}")
-    if args.max_retries < 0:
-        raise _usage_error(
-            f"--max-retries must be non-negative, got {args.max_retries}"
-        )
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        raise _usage_error(
-            f"--shard-timeout must be positive, got {args.shard_timeout}"
-        )
-    if args.resume and not args.cache_dir:
-        raise _usage_error("--resume requires --cache-dir")
-    from .resilience import RetryPolicy, default_chaos_plan
+    if not args.cache_dir:
+        return None
+    from .orchestrate import SuiteStore
 
-    retry = RetryPolicy(
-        max_retries=args.max_retries, shard_timeout_s=args.shard_timeout
-    )
-    faults = None if args.chaos is None else default_chaos_plan(args.chaos)
-    store = None
-    if args.cache_dir:
-        from .orchestrate import SuiteStore
-
-        store = SuiteStore(args.cache_dir, faults=faults)
-    return store, retry, faults
-
-
-def _warn_degraded(failures) -> None:
-    """Print the degraded-result warning naming the quarantined shards."""
-    if not failures:
-        return
-    lost = ", ".join(
-        f"{f.label} ({f.kind}, {f.attempts} attempt(s))" for f in failures
-    )
-    print(
-        f"WARNING: result is DEGRADED; quarantined shard(s): {lost}",
-        file=sys.stderr,
-    )
+    return SuiteStore(args.cache_dir)
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
@@ -201,26 +171,14 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         incremental=not args.fresh_solver,
         symmetry=not args.no_symmetry,
     )
-    store, retry, faults = _orchestration(args)
+    store = _orchestration(args)
     orchestrated = None
     obs = _observation(args)
     with obs:
-        if (
-            args.jobs > 1
-            or args.shards is not None
-            or store is not None
-            or args.chaos is not None
-        ):
+        if args.jobs > 1 or store is not None:
             from .orchestrate import run_sharded
 
-            orchestrated = run_sharded(
-                config,
-                jobs=args.jobs,
-                shard_count=args.shards,
-                store=store,
-                retry=retry,
-                faults=faults,
-            )
+            orchestrated = run_sharded(config, jobs=args.jobs, store=store)
             result = orchestrated.result
         else:
             result = synthesize(config)
@@ -231,11 +189,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         f"({stats.programs_enumerated} programs, "
         f"{stats.executions_enumerated} executions, "
         f"{stats.runtime_s:.2f}s"
-        f"{', TIMED OUT' if stats.timed_out else ''}"
-        f"{', DEGRADED' if stats.degraded else ''})"
+        f"{', TIMED OUT' if stats.timed_out else ''})"
     )
-    if orchestrated is not None:
-        _warn_degraded(orchestrated.failures)
     if args.witness_backend == "sat":
         from .reporting import render_sat_counters
 
@@ -253,7 +208,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         from .reporting import render_shard_runtimes
 
         print()
-        print(render_shard_runtimes(orchestrated))
+        print(render_shard_runtimes(orchestrated, cached=store is not None))
     for index, elt in enumerate(result.elts):
         print(f"\n--- ELT {index + 1} (violates: {', '.join(elt.violated_axioms)}) ---")
         print(format_execution(elt.execution, show_derived=args.verbose))
@@ -283,7 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from .models import X86T_ELT_AXIOM_NAMES
     from .reporting import resolve_max_bounds, resolve_sweep_budget
 
-    store, retry, faults = _orchestration(args)
+    store = _orchestration(args)
     for axiom in args.axiom or ():
         if axiom not in X86T_ELT_AXIOM_NAMES:
             raise SystemExit(
@@ -299,12 +254,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     budget = resolve_sweep_budget(args.budget)
     obs = _observation(args)
     with obs:
-        if (
-            args.jobs > 1
-            or args.shards is not None
-            or store is not None
-            or args.chaos is not None
-        ):
+        if args.jobs > 1 or store is not None:
             from .orchestrate import run_sweep_sharded
             from .reporting import render_sweep_cache_summary
 
@@ -321,14 +271,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 max_bound=bounds,
                 time_budget_per_run_s=budget,
                 jobs=args.jobs,
-                shard_count=args.shards,
                 store=store,
-                retry=retry,
-                faults=faults,
             )
             cache_summary = render_sweep_cache_summary(records)
-            for record in records:
-                _warn_degraded(record.failures)
         else:
             sweep = fig9_sweep(
                 max_bounds=bounds,
@@ -416,7 +361,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
             "--save applies to a single pair's discriminating suite; "
             "use --json to capture an --all-pairs run"
         )
-    store, retry, faults = _orchestration(args)
+    store = _orchestration(args)
 
     if args.all_pairs:
         from .conformance import run_all_pairs
@@ -440,17 +385,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
         with obs:
             started = time.monotonic()
             matrix, records = run_all_pairs(
-                base,
-                models=models,
-                jobs=args.jobs,
-                shard_count=args.shards,
-                store=store,
-                retry=retry,
-                faults=faults,
+                base, models=models, jobs=args.jobs, store=store
             )
             elapsed = time.monotonic() - started
-        for record in records:
-            _warn_degraded(record.failures)
         aggregate = None
         if args.witness_backend == "sat" or args.profile or obs.enabled:
             from .synth import SuiteStats
@@ -510,25 +447,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
     run_record = None
     obs = _observation(args)
     with obs:
-        if (
-            args.jobs > 1
-            or args.shards is not None
-            or store is not None
-            or args.chaos is not None
-        ):
-            run_record = run_diff(
-                diff,
-                jobs=args.jobs,
-                shard_count=args.shards,
-                store=store,
-                retry=retry,
-                faults=faults,
-            )
+        if args.jobs > 1 or store is not None:
+            run_record = run_diff(diff, jobs=args.jobs, store=store)
             cell = run_record.cell
         else:
             cell = diff_models(diff)
-    if run_record is not None:
-        _warn_degraded(run_record.failures)
 
     if args.json:
         print(json.dumps(cell_to_json(cell), indent=2, sort_keys=True))
@@ -537,11 +460,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
         print(render_conformance_cell(cell))
         if run_record is not None and store is not None:
-            print(
-                f"cache: cell_hit={run_record.cell_cache_hit} "
-                f"shard_hits={run_record.shard_cache_hits} "
-                f"shard_misses={run_record.shard_cache_misses}"
-            )
+            print(f"cache: cell_hit={run_record.cell_cache_hit}")
         if args.witness_backend == "sat":
             from .reporting import render_sat_counters
 
@@ -603,7 +522,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise _usage_error(f"--rounds must be positive, got {args.rounds}")
     if args.attempts < 1:
         raise _usage_error(f"--attempts must be positive, got {args.attempts}")
-    store, retry, faults = _orchestration(args)
+    store = _orchestration(args)
 
     config = FuzzConfig(
         seed=args.seed,
@@ -621,15 +540,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     obs = _observation(args)
     with obs:
-        result = run_fuzz(
-            config,
-            jobs=args.jobs,
-            shard_count=args.shards,
-            store=store,
-            retry=retry,
-            faults=faults,
-        )
-    _warn_degraded(result.failures)
+        result = run_fuzz(config, jobs=args.jobs, store=store)
 
     snapshot = result.coverage.snapshot()
     if args.json:
@@ -670,11 +581,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         if stats.timed_out:
             print("NOTE: run hit --budget; coverage and findings are partial")
         if store is not None:
-            print(
-                f"cache: run_hit={result.run_cache_hit} "
-                f"shard_hits={result.shard_cache_hits} "
-                f"shard_misses={result.shard_cache_misses}"
-            )
+            print(f"cache: run_hit={result.run_cache_hit}")
         for index, finding in enumerate(result.findings, start=1):
             print(
                 f"\n--- finding {index} (class {finding.digest}, violates: "
@@ -771,30 +678,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_store_verify(args: argparse.Namespace) -> int:
-    from .orchestrate import SuiteStore
-
-    store = SuiteStore(args.cache_dir)
-    report = store.verify(repair=args.repair)
-    if args.json:
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    else:
-        print(
-            f"store {args.cache_dir}: {report.scanned} entr(ies) scanned, "
-            f"{report.ok} ok, {len(report.corrupt)} corrupt, "
-            f"{len(report.orphaned)} orphaned"
-        )
-        for key in sorted(report.corrupt):
-            print(f"  corrupt: {key}")
-        for key in sorted(report.orphaned):
-            print(f"  orphaned: {key}")
-        if report.repaired:
-            print(f"repaired: bad entries moved to {store.quarantine_dir}")
-        elif not report.clean:
-            print("re-run with --repair to quarantine them")
-    return 0 if report.clean else 1
-
-
 def cmd_explore(args: argparse.Namespace) -> int:
     from .synth import explore_program
 
@@ -863,48 +746,10 @@ def _add_orchestration_arguments(parser: argparse.ArgumentParser) -> None:
         help="worker processes (shards the search; output stays identical)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="work units to plan (default: 4 per job when parallel)",
-    )
-    parser.add_argument(
         "--cache-dir",
         default=None,
-        help="persist completed shards/suites here and reuse them",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted run from --cache-dir without redoing "
-        "finished work (reuse is automatic whenever --cache-dir is set)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        metavar="N",
-        help="re-run a failed shard up to N times (deterministic backoff) "
-        "before quarantining it into a degraded result (default 2)",
-    )
-    parser.add_argument(
-        "--shard-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-shard wall timeout: a shard stuck longer than this is "
-        "killed (pool recycle), charged an attempt, and retried "
-        "(default: no per-shard timeout)",
-    )
-    parser.add_argument(
-        "--chaos",
-        type=int,
-        default=None,
-        metavar="SEED",
-        help="deterministic fault injection for resilience testing: the "
-        "seeded plan crashes/delays workers and flips stored payload "
-        "bits; when every shard eventually succeeds, output is "
-        "byte-identical to a fault-free run",
+        help="persist whole results (suites, diff cells, fuzz runs) here "
+        "and reuse them on reruns",
     )
 
 
@@ -1104,33 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stats.set_defaults(func=cmd_stats)
 
-    store = sub.add_parser(
-        "store",
-        help="suite-store maintenance (integrity verification and repair)",
-    )
-    store_sub = store.add_subparsers(dest="store_command", required=True)
-    verify = store_sub.add_parser(
-        "verify",
-        help="digest-check every cache entry; exit 1 when damage is found",
-    )
-    verify.add_argument(
-        "--cache-dir",
-        required=True,
-        help="the store to scan (same directory as --cache-dir elsewhere)",
-    )
-    verify.add_argument(
-        "--repair",
-        action="store_true",
-        help="move corrupt/orphaned entries into quarantine/ so later "
-        "runs recompute them",
-    )
-    verify.add_argument(
-        "--json",
-        action="store_true",
-        help="machine-readable verification report",
-    )
-    verify.set_defaults(func=cmd_store_verify)
-
     explore = sub.add_parser(
         "explore", help="enumerate all outcomes of an ELT program"
     )
@@ -1145,7 +963,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SynthesisError as error:
+        # A bad configuration is a usage error, like a bad flag value.
+        raise _usage_error(str(error)) from None
+    except ShardFailure as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(3) from None
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from ..orchestrate.merge import MergeReport, merge_best
-from ..resilience import FailureRecord
 from .diff import ConformanceCell, DiffConfig
 from .worker import DiffShardResult
 
@@ -28,16 +27,10 @@ def merge_diff_shards(
     diff: DiffConfig,
     shard_results: Iterable[DiffShardResult],
     runtime_s: float = 0.0,
-    failures: Iterable[FailureRecord] = (),
 ) -> Tuple[ConformanceCell, MergeReport]:
-    """Fuse diff shards into one serial-equivalent :class:`ConformanceCell`.
-
-    ``failures`` (quarantined shards) mark the merged cell ``degraded``:
-    completed shards still fuse, but the cell is explicitly partial and
-    will not be cached.
-    """
+    """Fuse diff shards into one serial-equivalent :class:`ConformanceCell`."""
     shards = list(shard_results)
-    elts, stats, report = merge_best(shards, runtime_s, failures)
+    elts, stats, report = merge_best(shards, runtime_s)
     reference_only: set = set()
     subject_only: set = set()
     for shard in shards:

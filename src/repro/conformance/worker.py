@@ -24,7 +24,6 @@ from typing import Optional, Set
 
 from ..orchestrate.shards import ShardSpec, SkeletonSlice, shard_programs
 from ..orchestrate.worker import ShardResult, observe_shard, shard_elts
-from ..resilience import FaultPlan
 from .diff import run_multi_diff_pipeline
 
 
@@ -45,10 +44,6 @@ class MultiDiffShardTask:
     #: Collect spans/metrics in the worker; the fused task's batch and
     #: registry ride on the *first* pair's result (one lane per task).
     observe: bool = False
-    #: Which (re)submission this is (stamped by the resilient scheduler).
-    attempt: int = 1
-    #: Seeded chaos harness; consulted on worker entry when set.
-    faults: Optional[FaultPlan] = None
     #: The shard's base skeletons (see :class:`~repro.orchestrate.ShardTask`).
     skeletons: Optional[SkeletonSlice] = None
 
@@ -71,8 +66,6 @@ def run_multi_diff_shard(task: MultiDiffShardTask) -> list:
     evenly across its pairs (per-pair sums reflect the work actually done
     once, at the cost of per-pair attribution)."""
     spec = task.spec
-    if task.faults is not None:
-        task.faults.apply_worker_fault(spec.label, task.attempt)
     started = time.monotonic()
     deadline = None
     if task.wall_deadline is not None:

@@ -53,19 +53,16 @@ class SolverInterrupted(ReproError):
 
 
 class ShardFailure(ReproError):
-    """A shard exhausted its retry budget.
+    """A shard's task raised, or the worker pool collapsed under it.
 
-    Carries the shard spec label and the attempt count so the final
-    error names which shard died; the original exception rides along as
-    ``__cause__`` when raised via ``raise ... from``.
+    Names the shard spec label and the failure; the worker's exception
+    rides along as ``__cause__`` (raised via ``raise ... from``).
     """
 
-    def __init__(self, label: str, attempts: int, kind: str = "exception"):
+    def __init__(self, label: str, error: BaseException):
         self.label = label
-        self.attempts = attempts
-        self.kind = kind
         super().__init__(
-            f"shard {label} failed after {attempts} attempt(s) ({kind})"
+            f"shard {label} failed: {type(error).__name__}: {error}"
         )
 
 

@@ -64,6 +64,11 @@ class FuzzConfig:
     incremental: bool = True
     symmetry: bool = True
 
+    def __post_init__(self) -> None:
+        # A bad bound, thread cap or backend raises SynthesisError here,
+        # in the parent, before any shard runs.
+        self.base_synthesis_config()
+
     def base_synthesis_config(self) -> SynthesisConfig:
         """The enumeration-shaping config the oracle's witness stream and
         minimality checks run under (model = reference)."""
@@ -110,6 +115,7 @@ class FuzzStats:
     #: Findings surviving dedup (set at merge).
     findings: int = 0
     timed_out: bool = False
+    # Always false; kept because bench_e2e/pins.json's fuzz-b12 digest covers it.
     degraded: bool = False
     runtime_s: float = 0.0
 
@@ -129,7 +135,6 @@ class FuzzStats:
         for name in self.SUMMED_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.timed_out = self.timed_out or other.timed_out
-        self.degraded = self.degraded or other.degraded
 
     def to_json(self) -> dict[str, Any]:
         payload = {name: getattr(self, name) for name in self.SUMMED_FIELDS}

@@ -3,9 +3,8 @@
 ``run_fuzz`` scales a coverage-guided differential fuzz run across cores
 with the exact machinery every sharded run uses — deterministic shard
 plan (:func:`repro.orchestrate.plan_shards`) and, for each round, the
-one shard executor (:func:`repro.orchestrate.execute_plan`: suite-store
-reuse of finished (round, shard) slices, spawn pool, retries,
-quarantine) — plus a store entry for the whole run.
+one shard executor (:func:`repro.orchestrate.execute_plan`, inline or
+on a spawn pool) — plus a store entry for the whole run.
 
 The determinism contract, end to end:
 
@@ -35,25 +34,10 @@ from ..mtm import Execution, Program
 from ..obs import current_registry
 from ..orchestrate.executor import execute_plan, wall_deadline
 from ..orchestrate.shards import ShardSpec, plan_shards
-from ..orchestrate.store import (
-    KIND_FUZZ_RUN,
-    KIND_FUZZ_SHARD,
-    SuiteStore,
-)
-from ..resilience import (
-    FailureRecord,
-    FaultPlan,
-    ResilienceStats,
-    RetryPolicy,
-)
+from ..orchestrate.store import KIND_FUZZ_RUN, SuiteStore
 from .config import FuzzConfig, FuzzStats, fuzz_identity
 from .coverage import CoverageMap, class_digest
 from .worker import FuzzShardResult, FuzzShardTask, run_fuzz_shard
-
-
-def round_identity(config: FuzzConfig, round_index: int) -> dict:
-    """The store identity of one round's (round, shard) slices."""
-    return dict(fuzz_identity(config), round=round_index)
 
 
 @dataclass
@@ -95,15 +79,6 @@ class FuzzRunResult:
     jobs: int = 1
     rounds_run: int = 0
     run_cache_hit: bool = False
-    shard_cache_hits: int = 0
-    shard_cache_misses: int = 0
-    #: (round, shard) tasks quarantined after exhausting retries.
-    failures: List[FailureRecord] = field(default_factory=list)
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.failures)
 
 
 def _merge_round(
@@ -169,8 +144,6 @@ def run_fuzz(
     jobs: int = 1,
     shard_count: Optional[int] = None,
     store: Optional[SuiteStore] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
 ) -> FuzzRunResult:
     """Run one coverage-guided fuzz campaign across ``jobs`` workers."""
     if jobs < 1:
@@ -187,8 +160,7 @@ def run_fuzz(
 
     specs = plan_shards(jobs, shard_count=shard_count)
     deadline = wall_deadline(config.time_budget_s)
-    # (round, shard) slices carry their own deadline and cache under the
-    # budget-free identity, like diff shards.
+    # (round, shard) slices carry their own deadline, like diff shards.
     shard_config = replace(config, time_budget_s=None)
 
     result = FuzzRunResult(
@@ -205,7 +177,7 @@ def run_fuzz(
     for round_index in range(config.rounds):
         allocation = coverage.allocate(config.attempts_per_round)
 
-        def make_task(spec: ShardSpec, _queries: list, observe: bool):
+        def make_task(spec: ShardSpec, observe: bool):
             return FuzzShardTask(
                 config=shard_config,
                 round_index=round_index,
@@ -213,38 +185,24 @@ def run_fuzz(
                 spec=spec,
                 wall_deadline=deadline,
                 observe=observe,
-                faults=faults,
             )
 
-        plan = execute_plan(
+        shards = execute_plan(
             specs,
-            [round_identity(shard_config, round_index)],
             make_task,
             run_fuzz_shard,
-            kind=KIND_FUZZ_SHARD,
             jobs=jobs,
-            store=store,
-            retry=retry,
             progress=f"fuzz r{round_index}",
         )
-        result.shard_cache_hits += plan.hits[0]
-        result.shard_cache_misses += plan.misses[0]
-        result.failures.extend(plan.failures[0])
-        result.resilience.absorb(plan.resilience)
-
-        completed = [shard for shard in plan.results[0] if shard is not None]
-        for shard in completed:
+        for shard in shards:
             stats.absorb(shard.stats)
-        novelty = _merge_round(
-            coverage, findings_by_key, round_index, completed
-        )
+        novelty = _merge_round(coverage, findings_by_key, round_index, shards)
         coverage.finish_round(novelty)
         result.rounds_run = round_index + 1
-        if any(shard.stats.timed_out for shard in completed):
+        if any(shard.stats.timed_out for shard in shards):
             stats.timed_out = True
             break
 
-    stats.degraded = stats.degraded or result.degraded
     result.findings = sorted(
         findings_by_key.values(),
         key=lambda finding: (

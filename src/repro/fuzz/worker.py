@@ -32,7 +32,7 @@ from ..mtm import Execution, Program
 from ..obs import MetricsRegistry, SpanBatch, current_registry
 from ..orchestrate.shards import ShardSpec
 from ..orchestrate.worker import observe_shard
-from ..resilience import FaultPlan, deadline_scope
+from ..resilience import deadline_scope
 from .config import FuzzConfig, FuzzStats
 from .coverage import PROFILE_KWARGS, class_digest
 from .generators import RngChooser, build_program, derive_seed
@@ -54,10 +54,6 @@ class FuzzShardTask:
     wall_deadline: Optional[float] = None
     #: Collect spans/metrics in the worker and ship them on the result.
     observe: bool = False
-    #: Which (re)submission this is (stamped by the resilient scheduler).
-    attempt: int = 1
-    #: Seeded chaos harness; consulted on worker entry when set.
-    faults: Optional[FaultPlan] = None
 
 
 @dataclass(frozen=True)
@@ -99,11 +95,9 @@ class FuzzShardResult:
     records: list = field(default_factory=list)
     stats: FuzzStats = field(default_factory=FuzzStats)
     runtime_s: float = 0.0
-    #: Worker span batch (``task.observe`` only; stripped before store
-    #: writes — spans describe one concrete run).
+    #: Worker span batch (``task.observe`` only).
     spans: Optional[SpanBatch] = None
-    #: Worker metrics registry (``task.observe`` only; persisted with the
-    #: shard so cache hits replay deterministic histograms).
+    #: Worker metrics registry (``task.observe`` only).
     metrics: Optional[MetricsRegistry] = None
 
     @property
@@ -163,8 +157,6 @@ def _judge_attempt(
 
 def run_fuzz_shard(task: FuzzShardTask) -> FuzzShardResult:
     """Execute one fuzz shard (in-process or in a worker process)."""
-    if task.faults is not None:
-        task.faults.apply_worker_fault(task.spec.label, task.attempt)
     started = time.monotonic()
     deadline = None
     if task.wall_deadline is not None:

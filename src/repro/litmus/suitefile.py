@@ -23,20 +23,18 @@ serially or sharded across workers (``transform-synth synthesize --save``
 with any ``--jobs``).
 
 The orchestrator's on-disk cache (:class:`repro.orchestrate.SuiteStore`,
-``--cache-dir``) is the *machine-facing, resumable* companion.  Its
-layout::
+``--cache-dir``) is the *machine-facing* companion.  Its layout::
 
     <cache_dir>/
       entries/
         <key>.json   # entry metadata (kind, config identity, stats)
-        <key>.pkl    # payload: pickled ShardResult or SuiteResult
+        <key>.pkl    # payload: pickled whole result (SuiteResult, ...)
 
 Entries are content-addressed: ``<key>`` hashes the full synthesis
 configuration (model + axioms, bound, target axiom, feature toggles,
-schema version — plus the shard stride for shard entries), so a cache can
-be shared between runs and machines without risk of a stale entry being
-mistaken for current work.  Cache payloads keep exact in-memory objects
-(needed for byte-identical resumed merges); export to this module's text
+schema version), so a cache can be shared between runs and machines
+without risk of a stale entry being mistaken for current work.  Cache
+payloads keep exact in-memory objects; export to this module's text
 format remains the way to publish a suite.
 """
 

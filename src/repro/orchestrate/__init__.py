@@ -8,15 +8,16 @@ serial result.  This package provides:
 * :class:`ShardSpec` / :func:`plan_shards` / :func:`shard_programs` —
   deterministic partitioning of the enumeration space;
 * :func:`execute_plan` — the one shard executor behind every sharded
-  run (synthesis, differencing, fuzz rounds): store lookup, fused tasks,
-  retries, trace adoption, persistence;
+  run (synthesis, differencing, fuzz rounds): pool start, fused tasks,
+  trace adoption;
 * :func:`run_shard` — the spawn-safe worker entry point;
 * :func:`merge_shards` — serial-equivalent cross-shard deduplication;
-* :class:`SuiteStore` — the persistent content-addressed result cache;
+* :class:`SuiteStore` — the persistent content-addressed whole-result
+  cache;
 * :func:`run_sharded` / :func:`run_sweep_sharded` — the orchestrator.
 """
 
-from .executor import PlanOutcome, execute_plan
+from .executor import execute_plan
 from .merge import MergeReport, merge_shards
 from .runner import OrchestratedResult, run_sharded, run_sweep_sharded
 from .shards import (
@@ -27,10 +28,7 @@ from .shards import (
 )
 from .store import (
     KIND_DIFF_CELL,
-    KIND_DIFF_SHARD,
     KIND_FUZZ_RUN,
-    KIND_FUZZ_SHARD,
-    KIND_SHARD,
     KIND_SUITE,
     SCHEMA_VERSION,
     SuiteStore,
@@ -43,14 +41,10 @@ from .worker import ShardElt, ShardResult, ShardTask, run_shard
 __all__ = [
     "DEFAULT_OVERSUBSCRIPTION",
     "KIND_DIFF_CELL",
-    "KIND_DIFF_SHARD",
     "KIND_FUZZ_RUN",
-    "KIND_FUZZ_SHARD",
-    "KIND_SHARD",
     "KIND_SUITE",
     "MergeReport",
     "OrchestratedResult",
-    "PlanOutcome",
     "SCHEMA_VERSION",
     "ShardElt",
     "ShardResult",

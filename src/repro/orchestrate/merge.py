@@ -46,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..resilience import FailureRecord
 from ..synth import SuiteResult, SuiteStats, SynthesisConfig
 from .worker import ShardElt, ShardResult
 
@@ -59,21 +58,14 @@ class MergeReport:
     shard_elts: int = 0
     cross_shard_duplicates: int = 0
     per_shard: list[ShardResult] = field(default_factory=list)
-    #: Labels of quarantined shards missing from the merge (the suite is
-    #: degraded when this is non-empty).
-    failed_shards: list[str] = field(default_factory=list)
 
 
 def merge_best(
-    shard_results: Iterable[ShardResult],
-    runtime_s: float = 0.0,
-    failures: Iterable[FailureRecord] = (),
+    shard_results: Iterable[ShardResult], runtime_s: float = 0.0
 ) -> tuple[list, SuiteStats, MergeReport]:
     """The best-of-shards merge behind synthesis and diff runs: sum the shard
-    stats, keep per program class the entry minimizing ``(rep_rank,
-    order)``, and mark the stats ``degraded`` for every quarantined
-    shard in ``failures``.  Returns ``(elts sorted by class key, stats,
-    report)``."""
+    stats and keep per program class the entry minimizing ``(rep_rank,
+    order)``.  Returns ``(elts sorted by class key, stats, report)``."""
     report = MergeReport()
     stats = SuiteStats()
     best: dict = {}  # ProgramKey -> ShardElt with minimal (rank, order)
@@ -94,10 +86,6 @@ def merge_best(
                 ):
                     best[shard_elt.elt.key] = shard_elt
 
-    for failure in failures:
-        report.failed_shards.append(failure.label)
-        stats.degraded = True
-
     elts = sorted(
         (shard_elt.elt for shard_elt in best.values()), key=lambda e: e.key
     )
@@ -110,15 +98,9 @@ def merge_shards(
     config: SynthesisConfig,
     shard_results: Iterable[ShardResult],
     runtime_s: float = 0.0,
-    failures: Iterable[FailureRecord] = (),
 ) -> tuple[SuiteResult, MergeReport]:
-    """Fuse shard results into one serial-equivalent :class:`SuiteResult`.
-
-    ``failures`` (quarantined shards from the resilient scheduler) mark
-    the merged suite ``degraded``: every completed shard is still fused,
-    but the artifact is explicitly partial and will not be cached.
-    """
-    elts, stats, report = merge_best(shard_results, runtime_s, failures)
+    """Fuse shard results into one serial-equivalent :class:`SuiteResult`."""
+    elts, stats, report = merge_best(shard_results, runtime_s)
     result = SuiteResult(config.bound, config.target_axiom, stats=stats)
     result.elts = elts
     return result, report

@@ -1,30 +1,21 @@
-"""The orchestrator: sharded parallel synthesis runs and resumable sweeps.
+"""The orchestrator: sharded parallel synthesis runs and cached sweeps.
 
 ``run_sharded`` scales one (axiom, bound) synthesis across cores:
 
 1. plan deterministic shards (:mod:`.shards`), whose base skeletons
    are enumerated once, here, when the first task is built;
 2. hand the plan to the shard executor (:func:`.executor.execute_plan`),
-   which reuses shards completed by an earlier interrupted run from the
-   :class:`~repro.orchestrate.store.SuiteStore` and runs the rest through
-   the retrying scheduler (:func:`repro.resilience.run_resilient_tasks`)
-   on a rebuildable spawn pool (or inline when ``jobs == 1``) — worker
-   crashes, pool collapses, and stuck shards are retried under the run's
-   :class:`~repro.resilience.RetryPolicy`;
+   which runs the tasks on a spawn pool (or inline when ``jobs == 1``);
+   a shard that raises ends the run with a
+   :class:`~repro.errors.ShardFailure`;
 3. merge (:mod:`.merge`) into a suite provably identical to the serial
    engine's, and persist the merged suite.
 
-A shard that exhausts its retries is *quarantined*: the run still
-merges every completed shard but the result is marked ``degraded``
-(``result.stats.degraded``) and the failed specs are listed on
-``OrchestratedResult.failures`` — a week-long sweep loses one point,
-not the run.  Degraded suites are never cached.
-
 ``run_sweep_sharded`` lifts this over the Fig 9 per-axiom bound sweep,
-reusing one rebuildable worker pool across all points and skipping any
-(axiom, bound) point whose merged suite is already in the store — which
-is what makes an interrupted ``sweep --cache-dir …`` resumable by
-rerunning the same command.
+reusing one worker pool across all points and skipping any (axiom,
+bound) point whose merged suite is already in the store — so rerunning
+an interrupted ``sweep --cache-dir …`` recomputes only the points it
+had not finished.
 """
 
 from __future__ import annotations
@@ -34,44 +25,28 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
 from ..errors import SynthesisError
-from ..resilience import (
-    FailureRecord,
-    FaultPlan,
-    PoolManager,
-    ResilienceStats,
-    RetryPolicy,
-)
+from ..resilience.scheduler import PoolManager
 from ..synth import SuiteResult, SweepPoint, SweepResult, SynthesisConfig
 from .executor import execute_plan, wall_deadline
 from .merge import MergeReport, merge_shards
 from .shards import ShardSpec, SkeletonSlices, plan_shards
-from .store import KIND_SHARD, KIND_SUITE, SuiteStore, config_identity
+from .store import KIND_SUITE, SuiteStore, config_identity
 from .worker import ShardResult, ShardTask, run_shard
 
 
 @dataclass
 class OrchestratedResult:
-    """A merged suite plus per-shard, cache, and resilience bookkeeping."""
+    """A merged suite plus per-shard and cache bookkeeping."""
 
     result: SuiteResult
     report: MergeReport
     jobs: int
     shard_specs: list[ShardSpec] = field(default_factory=list)
     suite_cache_hit: bool = False
-    shard_cache_hits: int = 0
-    shard_cache_misses: int = 0
-    #: Shards quarantined after exhausting retries (empty on clean runs).
-    failures: list[FailureRecord] = field(default_factory=list)
-    #: What the scheduler had to do (retries/rebuilds/timeouts) to finish.
-    resilience: ResilienceStats = field(default_factory=ResilienceStats)
 
     @property
     def shard_results(self) -> list[ShardResult]:
         return self.report.per_shard
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.failures)
 
 
 def run_sharded(
@@ -80,20 +55,16 @@ def run_sharded(
     shard_count: Optional[int] = None,
     store: Optional[SuiteStore] = None,
     pool: Optional[PoolManager] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
 ) -> OrchestratedResult:
     """Run one synthesis config across ``jobs`` workers.
 
-    With a ``store``, previously completed shards and suites are reused
-    (cache counters on the store record how much); timed-out or degraded
-    results are never cached.  Pass a
-    :class:`~repro.resilience.PoolManager` as ``pool`` to share one
-    worker pool across several calls (the sweep does); otherwise a spawn
-    pool is created on demand and torn down before returning.  ``retry``
-    configures the failure envelope (defaults to
-    :data:`~repro.resilience.DEFAULT_RETRY_POLICY`); ``faults`` is the
-    seeded ``--chaos`` fault-injection plan shipped to workers.
+    With a ``store``, a previously completed suite is reused (cache
+    counters on the store record it); a timed-out suite is never cached.
+    Pass a :class:`~repro.resilience.scheduler.PoolManager` as ``pool``
+    to share one worker pool across several calls (the sweep does);
+    otherwise a spawn pool is created on demand and torn down before
+    returning.  A failed shard raises
+    :class:`~repro.errors.ShardFailure` and caches nothing.
     """
     if jobs < 1:
         raise SynthesisError(f"jobs must be positive, got {jobs}")
@@ -114,46 +85,22 @@ def run_sharded(
     shard_config = replace(config, time_budget_s=None)
     slices = SkeletonSlices(shard_config, specs)
 
-    def make_task(spec: ShardSpec, _queries: list, observe: bool) -> ShardTask:
+    def make_task(spec: ShardSpec, observe: bool) -> ShardTask:
         return ShardTask(
-            shard_config,
-            spec,
-            deadline,
-            observe=observe,
-            faults=faults,
-            skeletons=slices[spec],
+            shard_config, spec, deadline, observe=observe, skeletons=slices[spec]
         )
 
-    plan = execute_plan(
-        specs,
-        [config_identity(shard_config)],
-        make_task,
-        run_shard,
-        kind=KIND_SHARD,
-        jobs=jobs,
-        store=store,
-        pool=pool,
-        retry=retry,
-        progress="synthesize",
+    shards = execute_plan(
+        specs, make_task, run_shard, jobs=jobs, pool=pool, progress="synthesize"
     )
     result, report = merge_shards(
-        config,
-        [shard for shard in plan.results[0] if shard is not None],
-        runtime_s=time.monotonic() - started,
-        failures=plan.failures[0],
+        config, shards, runtime_s=time.monotonic() - started
     )
     slices.charge(result.stats)
     if store is not None:
         store.save(identity, KIND_SUITE, result)
     return OrchestratedResult(
-        result=result,
-        report=report,
-        jobs=jobs,
-        shard_specs=list(specs),
-        shard_cache_hits=plan.hits[0],
-        shard_cache_misses=plan.misses[0],
-        failures=plan.failures[0],
-        resilience=plan.resilience,
+        result=result, report=report, jobs=jobs, shard_specs=list(specs)
     )
 
 
@@ -166,20 +113,17 @@ def run_sweep_sharded(
     jobs: int = 1,
     shard_count: Optional[int] = None,
     store: Optional[SuiteStore] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
 ) -> tuple[SweepResult, list[OrchestratedResult]]:
-    """Sharded, resumable Fig 9 sweep (same semantics as
+    """Sharded Fig 9 sweep (same semantics as
     :func:`repro.synth.synthesize_sweep`, run point-by-point through
     :func:`run_sharded`).
 
     Returns the sweep plus the per-point orchestration records (cache
-    hits, per-shard runtimes, quarantined shards).  Rerunning an
-    interrupted sweep with the same store picks up where it left off:
-    finished (axiom, bound) points are suite-level cache hits and are
-    not re-synthesized.  A *timed-out* point skips the axiom's later
-    bounds (they would only be slower); a *degraded* point does not —
-    the failure is shard-local, so the sweep continues.
+    hits, per-shard runtimes).  Rerunning an interrupted sweep with the
+    same store picks up where it left off: finished (axiom, bound)
+    points are suite-level cache hits and are not re-synthesized.  A
+    *timed-out* point skips the axiom's later bounds (they would only
+    be slower); a failed shard ends the sweep.
 
     ``max_bound`` may be a single cap or a per-axiom mapping (the shape of
     :data:`repro.reporting.DEFAULT_MAX_BOUNDS`).
@@ -218,8 +162,6 @@ def run_sweep_sharded(
                     shard_count=shard_count,
                     store=store,
                     pool=shared_pool,
-                    retry=retry,
-                    faults=faults,
                 )
                 records.append(orchestrated)
                 sweep.points.append(

@@ -1,10 +1,10 @@
-"""Persistent, content-addressed suite store.
+"""Persistent, content-addressed whole-result store.
 
-The store makes synthesis runs *resumable* and *skippable*: every
-completed shard and every completed merged suite is written under a key
-derived from the full synthesis configuration (plus the shard spec for
-shard entries), so re-running the same command — after an interruption,
-or verbatim — loads finished work instead of recomputing it.
+The store makes runs *skippable*: every completed whole result (a
+synthesis suite, a diff cell, a fuzz run) is written under a key
+derived from its full configuration, so re-running the same command
+loads the finished result instead of recomputing it, and a rerun
+sweep skips the points it already finished.
 
 Layout (documented alongside the suite text format in
 :mod:`repro.litmus.suitefile`)::
@@ -13,7 +13,8 @@ Layout (documented alongside the suite text format in
       entries/
         <key>.json   # metadata: kind, config fingerprint inputs, stats,
                      # and the payload's blake2b digest
-        <key>.pkl    # payload: pickled ShardResult or SuiteResult
+        <key>.pkl    # payload: pickled SuiteResult, ConformanceCell
+                     # or FuzzRunResult
       quarantine/    # corrupt/torn entries moved aside by verify-on-read
       .write.lock    # cross-process writer lock (best-effort)
 
@@ -21,9 +22,8 @@ Layout (documented alongside the suite text format in
 rendering of the entry identity.  Identity covers every knob that can
 change the synthesized artifact — model name and axiom list, bound,
 target axiom, thread/VA caps, feature toggles, ablations, the time
-budget, a schema version (bumped whenever engine output semantics
-change), and for shard entries the shard stride — so a stale or
-mismatched cache can never masquerade as a hit.
+budget and a schema version (bumped whenever engine output semantics
+change) — so a stale or mismatched cache can never masquerade as a hit.
 
 Integrity: every payload's blake2b digest is recorded in the entry meta
 and **verified on read** before unpickling.  A corrupt, torn, or
@@ -32,12 +32,11 @@ counted under ``counters.corrupt`` (distinct from ``counters.misses``:
 a true absence), logged with its key, and served as a cache miss so the
 caller recomputes (and heals) it.  Writers additionally take a
 best-effort cross-process :class:`~repro.resilience.FileLock` around
-the meta+payload pair.  :meth:`SuiteStore.verify` scans the whole store
-offline (the ``repro store verify`` / ``--repair`` CLI).
+the meta+payload pair.
 
 Writes are atomic (tempfile + ``os.replace``) so an interrupted run never
-leaves a half-written entry; timed-out or degraded results are **never**
-stored (their partial suites must not satisfy a later complete run).
+leaves a half-written entry; timed-out results are **never** stored
+(their partial suites must not satisfy a later complete run).
 """
 
 from __future__ import annotations
@@ -48,14 +47,13 @@ import logging
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from ..obs import current_registry, current_tracer
-from ..resilience import FaultPlan, FileLock, flip_bit
+from ..resilience import FileLock
 from ..synth import SynthesisConfig
-from .shards import ShardSpec
 
 logger = logging.getLogger(__name__)
 
@@ -69,19 +67,14 @@ logger = logging.getLogger(__name__)
 #: resilience fields on tasks/stats — undigested entries must miss.
 SCHEMA_VERSION = 4
 
-KIND_SHARD = "shard"
 KIND_SUITE = "suite"
-# Differential-conformance entries (payloads produced by
-# repro.conformance: DiffShardResult and ConformanceCell).  Their
-# identity dicts additionally carry the subject model; see
+# A differential-conformance cell (repro.conformance.ConformanceCell).
+# Its identity dict additionally carries the subject model; see
 # repro.conformance.runner.diff_identity.
-KIND_DIFF_SHARD = "diff-shard"
 KIND_DIFF_CELL = "diff-cell"
-# Coverage-guided fuzzing entries (payloads produced by repro.fuzz:
-# FuzzShardResult per (round, shard), FuzzRunResult per run).  Their
-# identity dicts come from repro.fuzz.config.fuzz_identity — seed,
-# bound, pair, and round/attempt schedule; see repro.fuzz.runner.
-KIND_FUZZ_SHARD = "fuzz-shard"
+# A coverage-guided fuzz run (repro.fuzz.FuzzRunResult).  Its identity
+# dict comes from repro.fuzz.config.fuzz_identity — seed, bound, pair,
+# and round/attempt schedule.
 KIND_FUZZ_RUN = "fuzz-run"
 
 
@@ -118,15 +111,9 @@ def identity_key(identity: dict[str, Any]) -> str:
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:32]
 
 
-def store_key(
-    identity: dict[str, Any], kind: str, spec: Optional[ShardSpec] = None
-) -> str:
-    """The key of one entry: its identity dict plus its kind, and for a
-    shard entry the shard spec."""
-    keyed = dict(identity, kind=kind)
-    if spec is not None:
-        keyed["shard"] = asdict(spec)
-    return identity_key(keyed)
+def store_key(identity: dict[str, Any], kind: str) -> str:
+    """The key of one entry: its identity dict plus its kind."""
+    return identity_key(dict(identity, kind=kind))
 
 
 def payload_digest(data: bytes) -> str:
@@ -140,58 +127,21 @@ class StoreCounters:
     #: True absences: no payload on disk for the key.
     misses: int = 0
     #: Corrupt/torn/undigested entries quarantined on read — distinct
-    #: from ``misses`` so resume reporting can tell "never computed"
-    #: from "computed but damaged".
+    #: from ``misses`` so a rerun can tell "never computed" from
+    #: "computed but damaged".
     corrupt: int = 0
     stores: int = 0
 
 
-@dataclass
-class VerifyReport:
-    """Outcome of one offline :meth:`SuiteStore.verify` scan."""
-
-    scanned: int = 0
-    ok: int = 0
-    #: Keys whose payload digest/meta failed verification.
-    corrupt: list[str] = field(default_factory=list)
-    #: Keys with a payload but no meta, or meta but no payload.
-    orphaned: list[str] = field(default_factory=list)
-    #: True when --repair moved the bad entries into quarantine/.
-    repaired: bool = False
-
-    @property
-    def clean(self) -> bool:
-        return not self.corrupt and not self.orphaned
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "scanned": self.scanned,
-            "ok": self.ok,
-            "corrupt": sorted(self.corrupt),
-            "orphaned": sorted(self.orphaned),
-            "repaired": self.repaired,
-            "clean": self.clean,
-        }
-
-
 class SuiteStore:
-    """On-disk cache of completed shard and suite results.
+    """On-disk cache of completed whole results."""
 
-    ``faults`` is the chaos hook: a seeded
-    :class:`~repro.resilience.FaultPlan` may flip one bit in a payload
-    as it is written (first write per key only), exercising exactly the
-    verify-on-read/quarantine/recompute path a torn write would.
-    """
-
-    def __init__(
-        self, root: Union[str, Path], faults: Optional[FaultPlan] = None
-    ) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.entries_dir = self.root / "entries"
         self.entries_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir = self.root / "quarantine"
         self.counters = StoreCounters()
-        self.faults = faults
         self._lock = FileLock(self.root / ".write.lock")
 
     # -- paths ---------------------------------------------------------
@@ -278,12 +228,6 @@ class SuiteStore:
         meta = dict(meta)
         meta["payload_blake2b"] = payload_digest(data)
         meta["payload_bytes"] = len(data)
-        # Fault injection models the storage medium corrupting bytes
-        # *after* the digest was taken — flipping before digesting would
-        # make the digest vouch for the corrupted payload, hiding every
-        # flip that still unpickles.
-        if self.faults is not None and self.faults.take_store_corruption(key):
-            data = flip_bit(data, self.faults.corrupt_offset(key, len(data)))
         with current_tracer().span("store.put", category="store", key=key):
             with self._lock:
                 self._atomic_write(
@@ -309,79 +253,19 @@ class SuiteStore:
                 pass
             raise
 
-    # -- offline integrity ---------------------------------------------
-    def verify(self, repair: bool = False) -> VerifyReport:
-        """Digest-check every entry; with ``repair``, quarantine the
-        damaged ones (the ``repro store verify [--repair]`` backend).
-
-        Unpaired files (payload without meta or meta without payload —
-        a write torn between the two) count as ``orphaned``.
-        """
-        report = VerifyReport()
-        keys = sorted(
-            {path.stem for path in self.entries_dir.glob("*.pkl")}
-            | {path.stem for path in self.entries_dir.glob("*.json")}
-        )
-        bad: list[str] = []
-        for key in keys:
-            report.scanned += 1
-            payload_path = self._payload_path(key)
-            meta = self._read_meta(key)
-            if not payload_path.exists() or meta is None:
-                report.orphaned.append(key)
-                bad.append(key)
-                continue
-            expected = meta.get("payload_blake2b")
-            try:
-                data = payload_path.read_bytes()
-            except OSError:
-                data = None
-            if (
-                data is None
-                or expected is None
-                or payload_digest(data) != expected
-            ):
-                report.corrupt.append(key)
-                bad.append(key)
-                continue
-            report.ok += 1
-        if repair and bad:
-            with self._lock:
-                for key in bad:
-                    self._quarantine(key, "verify --repair")
-            report.repaired = True
-        return report
-
     # -- entries by identity ------------------------------------------
-    def load(
-        self,
-        identity: dict[str, Any],
-        kind: str,
-        spec: Optional[ShardSpec] = None,
-    ) -> Optional[Any]:
-        return self.get(store_key(identity, kind, spec))
+    def load(self, identity: dict[str, Any], kind: str) -> Optional[Any]:
+        return self.get(store_key(identity, kind))
 
-    def save(
-        self,
-        identity: dict[str, Any],
-        kind: str,
-        payload: Any,
-        spec: Optional[ShardSpec] = None,
-    ) -> None:
-        """Persist one finished result (a shard, a suite, a diff cell or
-        a fuzz run) under its identity.
+    def save(self, identity: dict[str, Any], kind: str, payload: Any) -> None:
+        """Persist one finished whole result (a suite, a diff cell or a
+        fuzz run) under its identity.
 
-        Partial work — timed out or degraded — is never cached: it must
-        not satisfy a later complete run.  Span batches are stripped
-        because they describe one concrete run; a shard's metrics
-        registry is kept, so cache hits replay its histograms.
+        Timed-out work is never cached: it must not satisfy a later
+        complete run.
         """
         stats = payload.stats
-        if stats.timed_out or stats.degraded:
+        if stats.timed_out:
             return
-        if getattr(payload, "spans", None) is not None:
-            payload = replace(payload, spans=None)
         meta = {"kind": kind, "identity": identity, "runtime_s": stats.runtime_s}
-        if spec is not None:
-            meta["shard"] = asdict(spec)
-        self.put(store_key(identity, kind, spec), payload, meta)
+        self.put(store_key(identity, kind), payload, meta)

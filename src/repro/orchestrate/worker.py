@@ -35,7 +35,6 @@ from ..obs import (
     install_registry,
     install_tracer,
 )
-from ..resilience import FaultPlan
 from ..synth import SuiteStats, SynthesisConfig, run_pipeline
 from ..synth.engine import OrderKey, PipelineOutcome, SynthesizedElt
 from .shards import ShardSpec, SkeletonSlice, shard_programs
@@ -51,11 +50,6 @@ class ShardTask:
     wall_deadline: Optional[float] = None
     #: Collect spans/metrics in the worker and ship them on the result.
     observe: bool = False
-    #: Which (re)submission this is — the scheduler stamps 1, 2, ... so
-    #: workers and fault plans can behave per-attempt.
-    attempt: int = 1
-    #: Seeded chaos harness; when set the worker consults it on entry.
-    faults: Optional[FaultPlan] = None
     #: The shard's base skeletons (the run's
     #: :class:`~repro.orchestrate.shards.SkeletonSlices` slice); None
     #: makes the worker enumerate them itself.
@@ -77,11 +71,9 @@ class ShardResult:
     elts: list[ShardElt] = field(default_factory=list)
     stats: SuiteStats = field(default_factory=SuiteStats)
     runtime_s: float = 0.0
-    #: The worker's finished span batch (``task.observe`` only; stripped
-    #: before store writes — spans describe one concrete run).
+    #: The worker's finished span batch (``task.observe`` only).
     spans: Optional[SpanBatch] = None
-    #: The worker's metrics registry (``task.observe`` only; persisted
-    #: with the shard so cache hits replay deterministic histograms).
+    #: The worker's metrics registry (``task.observe`` only).
     metrics: Optional[MetricsRegistry] = None
 
     @property
@@ -123,8 +115,6 @@ def shard_elts(outcome: PipelineOutcome) -> list[ShardElt]:
 
 def run_shard(task: ShardTask) -> ShardResult:
     """Execute one shard (in-process or in a worker process)."""
-    if task.faults is not None:
-        task.faults.apply_worker_fault(task.spec.label, task.attempt)
     started = time.monotonic()
     deadline = None
     if task.wall_deadline is not None:

@@ -1,7 +1,7 @@
 """Reporting for orchestrated (sharded) synthesis runs.
 
 Renders the per-shard runtime breakdown of one :class:`~repro.orchestrate.
-runner.OrchestratedResult` and the cache/resume summary of a sweep — the
+runner.OrchestratedResult` and the cache summary of a sweep — the
 operational counterpart to the paper-facing Fig 9 tables.
 """
 
@@ -12,8 +12,12 @@ from typing import Iterable
 from .tables import render_table
 
 
-def render_shard_runtimes(orchestrated, title: str = "") -> str:
-    """Per-shard table: work unit, programs, executions, ELTs, runtime."""
+def render_shard_runtimes(
+    orchestrated, title: str = "", cached: bool = False
+) -> str:
+    """Per-shard table: work unit, programs, executions, ELTs, runtime.
+    ``cached`` (a store was consulted) adds the suite's cache outcome to
+    the footer."""
     rows = []
     for shard in orchestrated.shard_results:
         rows.append(
@@ -39,31 +43,8 @@ def render_shard_runtimes(orchestrated, title: str = "") -> str:
         f"cross-shard duplicate ELTs merged: "
         f"{orchestrated.report.cross_shard_duplicates}"
     )
-    cache_was_consulted = (
-        orchestrated.suite_cache_hit
-        or orchestrated.shard_cache_hits
-        or orchestrated.shard_cache_misses
-    )
-    if cache_was_consulted:
-        footer = (
-            f"cache: suite_hit={orchestrated.suite_cache_hit} "
-            f"shard_hits={orchestrated.shard_cache_hits} "
-            f"shard_misses={orchestrated.shard_cache_misses}; " + footer
-        )
-    failures = getattr(orchestrated, "failures", ())
-    if failures:
-        lost = ", ".join(
-            f"{f.label} ({f.kind}, {f.attempts} attempt(s))" for f in failures
-        )
-        footer += f"\nDEGRADED: quarantined shard(s) missing from merge: {lost}"
-    resilience = getattr(orchestrated, "resilience", None)
-    if resilience is not None and resilience.any_event():
-        footer += (
-            f"\nresilience: retries={resilience.retries} "
-            f"pool_rebuilds={resilience.pool_rebuilds} "
-            f"shard_timeouts={resilience.shard_timeouts} "
-            f"quarantined={resilience.quarantined}"
-        )
+    if cached:
+        footer = f"cache: suite_hit={orchestrated.suite_cache_hit}; " + footer
     return f"{table}\n{footer}"
 
 
@@ -79,11 +60,10 @@ def render_sweep_cache_summary(records: Iterable) -> str:
                 "cache" if record.suite_cache_hit else "computed",
                 f"{record.result.stats.runtime_s:.3f}",
                 "yes" if record.result.stats.timed_out else "",
-                "yes" if record.result.stats.degraded else "",
             )
         )
     return render_table(
-        ["axiom", "bound", "elts", "source", "runtime_s", "timed_out", "degraded"],
+        ["axiom", "bound", "elts", "source", "runtime_s", "timed_out"],
         rows,
         title="sweep points (resume/cache summary)",
     )

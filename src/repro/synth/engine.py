@@ -129,9 +129,7 @@ class SuiteStats:
     unique_programs: int = 0
     runtime_s: float = 0.0
     timed_out: bool = False
-    #: True when shards were quarantined after exhausting retries: the
-    #: suite merges everything that completed but is explicitly partial
-    #: (never cached; see repro.resilience).  Ored by :meth:`absorb`.
+    # Always false; kept because baseline_obs_manifest.json pins suite.degraded.
     degraded: bool = False
     # CDCL solver counters, populated when witness_backend == "sat"
     # (summed over every per-program solver; flat ints so shard results
@@ -211,7 +209,6 @@ class SuiteStats:
         for name in self.SUMMED_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
         self.timed_out = self.timed_out or other.timed_out
-        self.degraded = self.degraded or other.degraded
         for stage, seconds in other.stage_times.items():
             self.stage_times[stage] = self.stage_times.get(stage, 0.0) + seconds
 
@@ -777,14 +774,6 @@ class SweepResult:
                 point.result.stats.runtime_s
             )
         return out
-
-    def degraded_points(self) -> list[tuple[str, int]]:
-        """(axiom, bound) pairs whose suite lost quarantined shards."""
-        return [
-            (point.axiom, point.bound)
-            for point in self.points
-            if point.result.stats.degraded
-        ]
 
     def timed_out_points(self) -> list[tuple[str, int]]:
         """(axiom, bound) pairs whose suite is complete-up-to-timeout."""

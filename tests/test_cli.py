@@ -142,53 +142,10 @@ class TestOrchestratedSynthesize:
         assert main(base) == 0
         first = capsys.readouterr().out
         assert "suite_hit=False" in first
-        assert main(base + ["--resume"]) == 0
+        assert main(base) == 0
         second = capsys.readouterr().out
         assert "suite_hit=True" in second
         assert "1 unique ELTs" in second
-
-    def test_resume_requires_cache_dir(self) -> None:
-        with pytest.raises(SystemExit):
-            main(["synthesize", "--bound", "4", "--resume"])
-
-
-class TestResilienceFlags:
-    def test_negative_max_retries_rejected(self) -> None:
-        with pytest.raises(SystemExit):
-            main(["synthesize", "--bound", "4", "--max-retries", "-1"])
-
-    def test_chaos_run_is_byte_identical(self, tmp_path, capsys) -> None:
-        # Seed 1 crashes the single inline shard on attempt 1; the
-        # default retry budget recovers it, so the bytes must match a
-        # fault-free run.
-        base = ["synthesize", "--bound", "4", "--axiom", "invlpg"]
-        plain, chaotic = tmp_path / "plain.elts", tmp_path / "chaos.elts"
-        assert main(base + ["--save", str(plain)]) == 0
-        assert main(base + ["--chaos", "1", "--save", str(chaotic)]) == 0
-        assert chaotic.read_bytes() == plain.read_bytes()
-        assert "DEGRADED" not in capsys.readouterr().out
-
-    def test_exhausted_retries_warn_degraded(self, capsys) -> None:
-        # With a zero retry budget the crashing shard is quarantined:
-        # the run completes degraded and says so on stderr.
-        code = main(
-            [
-                "synthesize",
-                "--bound",
-                "4",
-                "--axiom",
-                "invlpg",
-                "--chaos",
-                "1",
-                "--max-retries",
-                "0",
-            ]
-        )
-        assert code == 0
-        captured = capsys.readouterr()
-        assert ", DEGRADED" in captured.out
-        assert "WARNING: result is DEGRADED" in captured.err
-        assert "s0/1" in captured.err
 
 
 #: The minimal valid invocation of every orchestrating subcommand.
@@ -201,10 +158,42 @@ ORCHESTRATING = {
 
 BAD_ORCHESTRATION_ARGUMENTS = {
     "jobs": ["--jobs", "0"],
-    "shards": ["--shards", "0"],
-    "max-retries": ["--max-retries", "-1"],
-    "shard-timeout": ["--shard-timeout", "0"],
+}
+
+#: Flags of the retired retry/quarantine/chaos envelope, with a value
+#: where they took one.
+RETIRED_FLAGS = {
+    "chaos": ["--chaos", "0"],
+    "max-retries": ["--max-retries", "1"],
     "resume": ["--resume"],
+    "shard-timeout": ["--shard-timeout", "5"],
+    "shards": ["--shards", "2"],
+}
+
+#: Configuration errors the engine raises (``SynthesisError``), with a
+#: fragment of the message the CLI prints for each.
+BAD_CONFIGURATIONS = {
+    "synthesize-bound": (["synthesize", "--bound", "0"], "bound must be positive"),
+    "synthesize-axiom": (
+        ["synthesize", "--bound", "4", "--axiom", "nope"],
+        "no axiom 'nope'",
+    ),
+    "synthesize-threads": (
+        ["synthesize", "--bound", "4", "--threads", "0"],
+        "max_threads",
+    ),
+    "all-pairs-bound": (
+        ["diff", "--all-pairs", "--bound", "0", "--json"],
+        "bound must be positive",
+    ),
+    "diff-threads": (
+        ORCHESTRATING["diff"] + ["--bound", "4", "--threads", "0"],
+        "max_threads",
+    ),
+    "fuzz-threads": (
+        ["fuzz", "--seed", "0", "--bound", "4", "--threads", "0"],
+        "max_threads",
+    ),
 }
 
 
@@ -220,10 +209,75 @@ class TestOrchestrationArguments:
         assert excinfo.value.code == 2
         assert f"--{bad}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", sorted(RETIRED_FLAGS))
+    @pytest.mark.parametrize("command", sorted(ORCHESTRATING))
+    def test_retired_flag_is_rejected(self, capsys, command, flag) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(ORCHESTRATING[command] + RETIRED_FLAGS[flag])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert f"--{flag}" in err
 
-class TestStoreVerifyCommand:
-    def seed_cache(self, cache) -> None:
-        assert (
+    def test_store_subcommand_is_gone(self, capsys, tmp_path) -> None:
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", "verify", "--cache-dir", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'store'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGURATIONS))
+    def test_configuration_error_exits_two(self, capsys, case) -> None:
+        argv, message = BAD_CONFIGURATIONS[case]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+
+
+def broken_shard(task):
+    raise RuntimeError("worker broke")
+
+
+#: Per subcommand: the runner module and worker global its inline
+#: ``--cache-dir`` run calls, and an invocation that reaches it.
+SHARD_WORKERS = {
+    "sweep": (
+        "repro.orchestrate.runner",
+        "run_shard",
+        ["sweep", "--max-bound", "4", "--axiom", "invlpg"],
+    ),
+    "diff": (
+        "repro.conformance.runner",
+        "run_multi_diff_shard",
+        ORCHESTRATING["diff"] + ["--bound", "4"],
+    ),
+    "all-pairs": (
+        "repro.conformance.runner",
+        "run_multi_diff_shard",
+        ["diff", "--all-pairs", "--bound", "4", "--json"],
+    ),
+    "fuzz": (
+        "repro.fuzz.runner",
+        "run_fuzz_shard",
+        ["fuzz", "--seed", "0", "--bound", "4", "--rounds", "1", "--attempts", "8"],
+    ),
+}
+
+
+class TestFailedShard:
+    def test_failed_shard_exits_three_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        import repro.orchestrate.runner as runner_module
+
+        monkeypatch.setattr(runner_module, "run_shard", broken_shard)
+        cache = tmp_path / "cache"
+        suite = tmp_path / "suite.elts"
+        trace = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as excinfo:
             main(
                 [
                     "synthesize",
@@ -233,51 +287,85 @@ class TestStoreVerifyCommand:
                     "invlpg",
                     "--cache-dir",
                     str(cache),
+                    "--save",
+                    str(suite),
+                    "--trace",
+                    str(trace),
                 ]
             )
-            == 0
+        assert excinfo.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: shard s0/1 failed: RuntimeError: worker broke\n"
         )
+        assert not suite.exists()
+        assert not trace.exists()
+        assert list((cache / "entries").iterdir()) == []
+        assert not (cache / "manifests").exists()
 
-    def test_clean_store_exits_zero(self, tmp_path, capsys) -> None:
-        cache = tmp_path / "cache"
-        self.seed_cache(cache)
-        capsys.readouterr()
-        assert main(["store", "verify", "--cache-dir", str(cache)]) == 0
-        assert "0 corrupt" in capsys.readouterr().out
-
-    def test_corruption_found_repaired_and_healed(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize("command", sorted(SHARD_WORKERS))
+    def test_every_sharded_subcommand_exits_three(
+        self, tmp_path, capsys, monkeypatch, command
     ) -> None:
-        import json
+        import importlib
 
+        module, worker, argv = SHARD_WORKERS[command]
+        monkeypatch.setattr(importlib.import_module(module), worker, broken_shard)
         cache = tmp_path / "cache"
-        self.seed_cache(cache)
-        payload = sorted((cache / "entries").glob("*.pkl"))[0]
-        payload.write_bytes(b"\x00" + payload.read_bytes()[1:])
-        capsys.readouterr()
-
-        # Damage found: exit 1, the key named in both renderings.
-        assert main(["store", "verify", "--cache-dir", str(cache)]) == 1
-        assert payload.stem in capsys.readouterr().out
-        assert (
-            main(["store", "verify", "--cache-dir", str(cache), "--json"])
-            == 1
+        trace = tmp_path / "trace.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--cache-dir", str(cache), "--trace", str(trace)])
+        assert excinfo.value.code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: shard s0/1 failed: RuntimeError: worker broke\n"
         )
-        report = json.loads(capsys.readouterr().out)
-        assert report["corrupt"] == [payload.stem]
-        assert not report["clean"]
+        assert not trace.exists()
+        assert list((cache / "entries").iterdir()) == []
+        assert not (cache / "manifests").exists()
 
-        # --repair quarantines (still exit 1: damage was found) …
-        assert (
-            main(["store", "verify", "--cache-dir", str(cache), "--repair"])
-            == 1
-        )
-        assert not payload.exists()
+
+#: Per subcommand: a run that caches one whole result, and the name of
+#: the cache-hit flag it prints.
+CACHED_RUNS = {
+    "synthesize": (["synthesize", "--bound", "4", "--axiom", "invlpg"], "suite_hit"),
+    "diff": (ORCHESTRATING["diff"] + ["--bound", "4"], "cell_hit"),
+    "fuzz": (
+        ["fuzz", "--seed", "0", "--bound", "4", "--rounds", "1", "--attempts", "8"],
+        "run_hit",
+    ),
+}
+
+
+class TestWholeResultCache:
+    """The ``--cache-dir`` round trip: a cold run stores one whole
+    result, a warm rerun serves it, and a damaged entry is quarantined
+    and recomputed to the same bytes."""
+
+    @pytest.mark.parametrize("command", sorted(CACHED_RUNS))
+    def test_warm_rerun_and_bit_flip_heal(self, tmp_path, capsys, command) -> None:
+        argv, flag = CACHED_RUNS[command]
+        cache = tmp_path / "cache"
+
+        def run(name: str):
+            path = tmp_path / name
+            code = main(argv + ["--cache-dir", str(cache), "--save", str(path)])
+            return code, capsys.readouterr().out, path.read_bytes()
+
+        code, out, cold = run("cold.elts")
+        assert f"{flag}=False" in out
+        (payload,) = (cache / "entries").glob("*.pkl")
+        warm_code, warm_out, warm = run("warm.elts")
+        assert (warm_code, warm) == (code, cold)
+        assert f"{flag}=True" in warm_out
+
+        data = bytearray(payload.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        payload.write_bytes(bytes(data))
+        healed_code, healed_out, healed = run("healed.elts")
+        assert (healed_code, healed) == (code, cold)
+        assert f"{flag}=False" in healed_out
         assert (cache / "quarantine" / payload.name).exists()
-        # … after which the store scans clean.
-        capsys.readouterr()
-        assert main(["store", "verify", "--cache-dir", str(cache)]) == 0
-
-    def test_verify_requires_cache_dir(self) -> None:
-        with pytest.raises(SystemExit):
-            main(["store", "verify"])
+        assert f"{flag}=True" in run("again.elts")[1]

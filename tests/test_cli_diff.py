@@ -61,20 +61,6 @@ class TestExitCodes:
             main(["diff", "--all-pairs", "--save", "out.elts"])
         assert excinfo.value.code == 2
 
-    def test_resume_without_cache_dir_is_usage_error(self, capsys) -> None:
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                [
-                    "diff",
-                    "--reference",
-                    "sc",
-                    "--subject",
-                    "sc",
-                    "--resume",
-                ]
-            )
-        assert excinfo.value.code == 2
-
     def test_nonpositive_jobs_is_usage_error(self, capsys) -> None:
         with pytest.raises(SystemExit) as excinfo:
             main(
@@ -229,6 +215,6 @@ class TestPairOutput:
         assert main(base) == 1
         first = capsys.readouterr().out
         assert "cell_hit=False" in first
-        assert main(base + ["--resume"]) == 1
+        assert main(base) == 1
         second = capsys.readouterr().out
         assert "cell_hit=True" in second

@@ -41,7 +41,6 @@ from repro.models import (
 )
 from repro.orchestrate import (
     KIND_DIFF_CELL,
-    KIND_DIFF_SHARD,
     SuiteStore,
     store_key,
 )
@@ -144,20 +143,6 @@ class TestStore:
             == suite_from_diff(first.cell).dumps()
         )
 
-    def test_shard_level_resume(self, tmp_path) -> None:
-        store = SuiteStore(tmp_path / "cache")
-        first = run_diff(amd_diff(), jobs=1, shard_count=3, store=store)
-        assert first.shard_cache_misses == 3
-        # Drop the merged cell so the rerun must fall back to shards.
-        cell_key = store_key(diff_identity(amd_diff()), KIND_DIFF_CELL)
-        (store.entries_dir / f"{cell_key}.pkl").unlink()
-        second = run_diff(amd_diff(), jobs=1, shard_count=3, store=store)
-        assert second.shard_cache_hits == 3
-        assert (
-            suite_from_diff(second.cell).dumps()
-            == suite_from_diff(first.cell).dumps()
-        )
-
     def test_diff_keys_are_pair_specific(self) -> None:
         forward = store_key(diff_identity(amd_diff()), KIND_DIFF_CELL)
         backward = store_key(
@@ -170,7 +155,6 @@ class TestStore:
             KIND_DIFF_CELL,
         )
         assert forward != backward
-        assert forward != store_key(diff_identity(amd_diff()), KIND_DIFF_SHARD)
 
 
 class TestAllPairs:

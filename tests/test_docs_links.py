@@ -77,7 +77,6 @@ def test_docs_tree_is_complete() -> None:
         "SYMMETRY.md",
         "BENCHMARKS.md",
         "OBSERVABILITY.md",
-        "RESILIENCE.md",
     }
     present = {path.name for path in (REPO_ROOT / "docs").glob("*.md")}
     assert expected <= present

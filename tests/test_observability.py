@@ -386,7 +386,7 @@ class TestCliTraceSurface:
         code = main(
             [
                 "diff", "--reference", "x86t_elt", "--subject", "x86t_amd_bug",
-                "--bound", "4", "--shards", "2", "--trace", str(trace),
+                "--bound", "4", "--jobs", "2", "--trace", str(trace),
                 "--profile", "--json",
             ]
         )
@@ -403,7 +403,7 @@ class TestCliTraceSurface:
             for event in payload["traceEvents"]
             if event["ph"] == "M" and event["name"] == "thread_name"
         }
-        assert {"s0/2", "s1/2"} <= lane_names
+        assert {f"s{index}/8" for index in range(8)} <= lane_names
         totals = {
             event["name"][len("stage:"):]: event["args"]["total_s"]
             for event in payload["traceEvents"]

@@ -63,27 +63,120 @@ HEAVY_MODULES = (
 LAZY_NAMES = {
     "repro.relational": ("Problem", "ProblemSession", "RelationBound"),
     "repro.synth": ("WitnessSession", "WitnessSessionCache", "shared_session_cache"),
-    "repro.resilience": (
-        "FailureRecord",
-        "PoolManager",
-        "ResilienceStats",
-        "SchedulerOutcome",
-        "run_resilient_tasks",
-    ),
 }
 
+#: Modules only a worker pool needs: a serial sharded run (inline
+#: ``--cache-dir``, ``fuzz --jobs 1``) must not load them.
+POOL_MODULES = ("concurrent.futures", "multiprocessing")
 
-def test_cli_import_leaves_the_heavy_modules_unloaded() -> None:
+
+def _loaded_after(statement: str, modules) -> list:
+    """Which of ``modules`` a fresh interpreter has loaded after
+    running ``statement``."""
     code = (
-        "import json, sys; import repro.cli; "
-        f"print(json.dumps([m for m in {list(HEAVY_MODULES)!r} if m in sys.modules]))"
+        f"import json, sys; {statement}; "
+        f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
     completed = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
     assert completed.returncode == 0, completed.stderr
-    assert json.loads(completed.stdout) == []
+    return json.loads(completed.stdout)
+
+
+def test_cli_import_leaves_the_heavy_modules_unloaded() -> None:
+    assert _loaded_after("import repro.cli", HEAVY_MODULES) == []
+
+
+def test_orchestration_import_leaves_the_pool_modules_unloaded() -> None:
+    statement = "import repro.fuzz, repro.conformance, repro.orchestrate"
+    assert _loaded_after(statement, POOL_MODULES) == []
+
+
+def test_inline_task_run_leaves_the_pool_modules_unloaded() -> None:
+    statement = (
+        "from types import SimpleNamespace; "
+        "from repro.orchestrate.shards import plan_shards; "
+        "from repro.resilience.scheduler import PoolManager, run_tasks; "
+        "PoolManager(2); "
+        "tasks = [SimpleNamespace(spec=spec) for spec in plan_shards(1, 3)]; "
+        "assert run_tasks(tasks, lambda task: task.spec.label) "
+        "== ['s0/3', 's1/3', 's2/3']"
+    )
+    assert _loaded_after(statement, POOL_MODULES) == []
+
+
+def test_deadline_api_leaves_the_task_runner_unloaded() -> None:
+    """The SAT solver imports ``repro.resilience`` for its deadline
+    channel; that import must not pull in the task runner."""
+    assert _loaded_after("import repro.resilience", HEAVY_MODULES) == []
+
+
+def test_resilience_exports_only_the_deadline_api_and_the_lock() -> None:
+    import repro.resilience
+
+    assert sorted(repro.resilience.__all__) == [
+        "FileLock",
+        "current_deadline",
+        "deadline_exceeded",
+        "deadline_scope",
+        "install_deadline",
+    ]
+
+
+#: Names of the retired retry/chaos envelope: none may come back.
+RETIRED_NAMES = (
+    "FailureRecord",
+    "FaultPlan",
+    "ResilienceStats",
+    "RetryPolicy",
+    "SchedulerOutcome",
+)
+
+#: Modules the retired names were, or could plausibly be, exported from.
+RETIRED_NAME_HOMES = (
+    "repro",
+    "repro.errors",
+    "repro.orchestrate",
+    "repro.resilience",
+    "repro.resilience.scheduler",
+)
+
+
+@pytest.mark.parametrize("name", RETIRED_NAMES)
+def test_retired_names_are_gone(name: str) -> None:
+    for package in RETIRED_NAME_HOMES:
+        assert not hasattr(importlib.import_module(package), name), package
+
+
+#: Every sharded driver, and the executor they share.
+SHARDED_ENTRY_POINTS = (
+    ("repro.orchestrate", "execute_plan"),
+    ("repro.orchestrate", "run_sharded"),
+    ("repro.orchestrate", "run_sweep_sharded"),
+    ("repro.conformance", "run_all_pairs"),
+    ("repro.conformance", "run_diff"),
+    ("repro.conformance.runner", "run_diffs"),
+    ("repro.fuzz", "run_fuzz"),
+)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    SHARDED_ENTRY_POINTS,
+    ids=[name for _, name in SHARDED_ENTRY_POINTS],
+)
+def test_sharded_entry_points_take_no_retry_or_fault_plan(
+    module: str, name: str
+) -> None:
+    import inspect
+
+    parameters = inspect.signature(
+        getattr(importlib.import_module(module), name)
+    ).parameters
+    assert "retry" not in parameters
+    assert "faults" not in parameters
 
 
 @pytest.mark.parametrize(

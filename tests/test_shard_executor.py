@@ -3,28 +3,31 @@
 Synthesis, single-pair and all-pairs differencing, and every fuzz round
 run their shard plans through :func:`repro.orchestrate.execute_plan`.
 These tests pin what the four drivers share through it: the whole-result
-store keys, resuming from a partially populated store, one trace lane
-per fused task, and resilience effort summed over fuzz rounds.
+store keys, one trace lane per fused task, and the failure contract —
+a shard that raises, inline or pooled, or a pool worker that dies, ends
+the run with a :class:`~repro.errors.ShardFailure` naming the shard.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
+import repro.orchestrate.executor as executor_module
 from repro.conformance import DiffConfig, cell_to_json, run_all_pairs, run_diff
+from repro.errors import ShardFailure
 from repro.fuzz import FuzzConfig, run_fuzz
 from repro.litmus import suite_from_diff, suite_from_fuzz, suite_from_synthesis
 from repro.models import catalog_models, x86t_amd_bug, x86t_elt
 from repro.obs import Observation
-from repro.orchestrate import SuiteStore, run_sharded
-from repro.resilience import FaultPlan, RetryPolicy
+from repro.orchestrate import SuiteStore, execute_plan, plan_shards, run_sharded
 from repro.synth import SynthesisConfig
+from tests._scheduler_workers import LabelTask, exiting_worker, failing_worker
 
-#: Store kinds of whole results (the slots' kinds end in "-shard" or
-#: are "shard").
+#: Store kinds of whole results.
 WHOLE_RESULT_KINDS = {"suite", "diff-cell", "fuzz-run"}
 
 
@@ -37,10 +40,7 @@ def _cell_bytes(cell) -> str:
 def _synthesize(store, jobs=1):
     config = SynthesisConfig(bound=4, model=x86t_elt(), target_axiom="sc_per_loc")
     record = run_sharded(config, jobs=jobs, shard_count=3, store=store)
-    return (
-        suite_from_synthesis(record.result).dumps(),
-        [(record.shard_cache_hits, record.shard_cache_misses)],
-    )
+    return suite_from_synthesis(record.result).dumps()
 
 
 def _diff(store, jobs=1):
@@ -48,10 +48,7 @@ def _diff(store, jobs=1):
         base=SynthesisConfig(bound=5, model=x86t_elt()), subject=x86t_amd_bug()
     )
     record = run_diff(diff, jobs=jobs, shard_count=3, store=store)
-    return (
-        _cell_bytes(record.cell),
-        [(record.shard_cache_hits, record.shard_cache_misses)],
-    )
+    return _cell_bytes(record.cell)
 
 
 def _all_pairs(store, jobs=1):
@@ -64,10 +61,7 @@ def _all_pairs(store, jobs=1):
         shard_count=3,
         store=store,
     )
-    cells = "".join(_cell_bytes(matrix.cells[pair]) for pair in sorted(matrix.cells))
-    return cells, [
-        (record.shard_cache_hits, record.shard_cache_misses) for record in records
-    ]
+    return "".join(_cell_bytes(matrix.cells[pair]) for pair in sorted(matrix.cells))
 
 
 def _fuzz(store, jobs=1):
@@ -77,10 +71,7 @@ def _fuzz(store, jobs=1):
         (finding.digest, finding.source, finding.occurrences)
         for finding in result.findings
     ]
-    return (
-        suite_from_fuzz(result).dumps() + json.dumps(findings),
-        [(result.shard_cache_hits, result.shard_cache_misses)],
-    )
+    return suite_from_fuzz(result).dumps() + json.dumps(findings)
 
 
 DRIVERS = {
@@ -90,11 +81,7 @@ DRIVERS = {
     "fuzz": _fuzz,
 }
 
-#: Slots per driver: specs × queries (pairs, or fuzz rounds).
-SLOTS = {"synthesize": 3, "diff": 3, "all-pairs": 6, "fuzz": 6}
-
-#: The whole-result keys each driver leaves in a cold store.  Shard
-#: slots are not pinned: their keys cover the shard spec's fields.
+#: The whole-result keys each driver leaves in a cold store.
 WHOLE_RESULT_KEYS = {
     "synthesize": ["suite a8007c0d4f49d82d4b71feb06b2bebe2"],
     "diff": ["diff-cell c23c2e822e108bccd99fdfc940c08df7"],
@@ -114,11 +101,6 @@ def _entries(store: SuiteStore) -> list:
     ]
 
 
-def _drop(store: SuiteStore, key: str) -> None:
-    for suffix in (".json", ".pkl"):
-        (store.entries_dir / f"{key}{suffix}").unlink()
-
-
 @pytest.mark.parametrize("driver", sorted(DRIVERS))
 def test_whole_result_keys_are_pinned(driver: str, tmp_path: Path) -> None:
     store = SuiteStore(tmp_path)
@@ -131,33 +113,6 @@ def test_whole_result_keys_are_pinned(driver: str, tmp_path: Path) -> None:
     assert keys == WHOLE_RESULT_KEYS[driver]
 
 
-@pytest.mark.parametrize("driver", sorted(DRIVERS))
-def test_resume_from_some_slots_matches_a_cold_run(
-    driver: str, tmp_path: Path
-) -> None:
-    run = DRIVERS[driver]
-    cold_bytes, cold_counts = run(None)
-    store = SuiteStore(tmp_path)
-    run(store)
-    # Keep every other shard slot; drop the rest and every whole result.
-    slots = [key for kind, key in _entries(store) if kind not in WHOLE_RESULT_KINDS]
-    assert len(slots) == SLOTS[driver]
-    for kind, key in _entries(store):
-        if kind in WHOLE_RESULT_KINDS:
-            _drop(store, key)
-    for key in slots[1::2]:
-        _drop(store, key)
-
-    resumed_bytes, counts = run(SuiteStore(tmp_path))
-    assert resumed_bytes == cold_bytes
-    hits = sum(hit for hit, _miss in counts)
-    misses = sum(miss for _hit, miss in counts)
-    assert hits == len(slots[::2])
-    assert hits + misses == SLOTS[driver]
-    # A run without a store counts nothing.
-    assert cold_counts == [(0, 0)] * len(counts)
-
-
 def test_traced_all_pairs_has_one_lane_per_fused_task() -> None:
     obs = Observation(enabled=True)
     with obs:
@@ -166,18 +121,118 @@ def test_traced_all_pairs_has_one_lane_per_fused_task() -> None:
     assert labels == ["s0/3", "s1/3", "s2/3"]
 
 
-def test_fuzz_resilience_sums_over_rounds() -> None:
-    # Every (round, shard) task crashes on its first attempt and succeeds
-    # on its retry: three rounds of two shards retry six times.
-    plan = FaultPlan(seed=1, crash_rate=1.0, crash_attempts=1, exit_rate=0.0)
-    config = FuzzConfig(seed=0, bound=5, rounds=3, attempts_per_round=4)
-    result = run_fuzz(
-        config,
-        jobs=1,
-        shard_count=2,
-        retry=RetryPolicy(backoff_base_s=0.0),
-        faults=plan,
-    )
-    assert not result.degraded
-    assert result.rounds_run == 3
-    assert result.resilience.retries == 6
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_store_holds_only_whole_results(driver: str, tmp_path: Path) -> None:
+    store = SuiteStore(tmp_path)
+    cold = DRIVERS[driver](store)
+    assert {kind for kind, _key in _entries(store)} <= WHOLE_RESULT_KINDS
+    # A warm rerun serves the same bytes from the store.
+    assert DRIVERS[driver](SuiteStore(tmp_path)) == cold
+
+
+class _RecordingPool(executor_module.PoolManager):
+    """A pool that remembers itself and whether its workers were reaped."""
+
+    made: list = []
+
+    def __init__(self, jobs: int) -> None:
+        super().__init__(jobs)
+        self.reaped = None
+        _RecordingPool.made.append(self)
+
+    def shutdown(self) -> None:
+        processes = list((self._executor._processes or {}).values())
+        super().shutdown()
+        self.reaped = all(not process.is_alive() for process in processes)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    _RecordingPool.made = []
+    monkeypatch.setattr(executor_module, "PoolManager", _RecordingPool)
+    return _RecordingPool.made
+
+
+#: Per driver: the runner module and the worker global it hands the
+#: executor.
+DRIVER_WORKERS = {
+    "synthesize": ("repro.orchestrate.runner", "run_shard"),
+    "diff": ("repro.conformance.runner", "run_multi_diff_shard"),
+    "all-pairs": ("repro.conformance.runner", "run_multi_diff_shard"),
+    "fuzz": ("repro.fuzz.runner", "run_fuzz_shard"),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_a_failed_shard_fails_the_run_and_caches_nothing(
+    driver: str, tmp_path: Path, monkeypatch
+) -> None:
+    import importlib
+
+    module_name, name = DRIVER_WORKERS[driver]
+    module = importlib.import_module(module_name)
+    real_worker = getattr(module, name)
+
+    def second_shard_breaks(task):
+        if task.spec.skeleton_index == 1:
+            raise RuntimeError(f"broke {task.spec.label}")
+        return real_worker(task)
+
+    monkeypatch.setattr(module, name, second_shard_breaks)
+    store = SuiteStore(tmp_path)
+    with pytest.raises(ShardFailure) as excinfo:
+        DRIVERS[driver](store)
+    assert excinfo.value.label == "s1/3"
+    assert str(excinfo.value.__cause__) == "broke s1/3"
+    assert _entries(store) == []
+    # The failure left nothing behind: with the worker mended, the same
+    # store computes the result a store-free run gets.
+    monkeypatch.setattr(module, name, real_worker)
+    assert DRIVERS[driver](store) == DRIVERS[driver](None)
+    assert _entries(store)
+
+
+def _label_task(spec, _observe):
+    return LabelTask(spec)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_raising_task_fails_the_plan(jobs: int, recording_pool) -> None:
+    specs = plan_shards(1, shard_count=3)
+    with pytest.raises(ShardFailure) as excinfo:
+        execute_plan(specs, _label_task, failing_worker, jobs=jobs)
+    failure = excinfo.value
+    assert failure.label == "s1/3"
+    assert "s1/3" in str(failure)
+    assert isinstance(failure.__cause__, ValueError)
+    assert str(failure.__cause__) == "boom in s1/3"
+    if jobs == 1:
+        assert recording_pool == []
+    else:
+        (pool,) = recording_pool
+        assert pool._executor is None
+        assert pool.reaped
+
+
+def test_a_dying_worker_fails_the_plan(recording_pool) -> None:
+    from concurrent.futures.process import BrokenProcessPool
+
+    specs = plan_shards(1, shard_count=3)
+    raised: list = []
+
+    def run() -> None:
+        try:
+            execute_plan(specs, _label_task, exiting_worker, jobs=2)
+        except ShardFailure as failure:
+            raised.append(failure)
+
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60.0)
+    assert not runner.is_alive(), "a dead worker hung the plan"
+    (failure,) = raised
+    assert failure.label == "s0/3"
+    assert isinstance(failure.__cause__, BrokenProcessPool)
+    (pool,) = recording_pool
+    assert pool._executor is None
+    assert pool.reaped

@@ -7,13 +7,12 @@ expand.  These tests pin what must not move when that happens: the
 skeleton lists, every shard's stream of (order key, canonical program
 key), and the plan size, which depends on the pool alone, not on how
 many queries ride on each fused task.  They also check that the pool
-boots only when a slot is pending.
+boots only when a plan runs.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from collections import Counter
 from pathlib import Path
@@ -33,7 +32,7 @@ from repro.orchestrate import (
     run_sharded,
     shard_programs,
 )
-from repro.resilience import PoolManager
+from repro.resilience.scheduler import PoolManager
 from repro.synth import SynthesisConfig, enumerate_skeletons
 from repro.synth.canon import canonical_program_key
 
@@ -219,20 +218,12 @@ def test_coordinator_enumeration_is_charged_to_generate(monkeypatch) -> None:
     assert other.stage_times.get("generate", 0.0) < 0.2
 
 
-def _drop_whole_results(root: Path) -> None:
-    for meta in SuiteStore(root).entries_dir.glob("*.json"):
-        if json.loads(meta.read_text())["kind"] == "suite":
-            for suffix in (".json", ".pkl"):
-                meta.with_suffix(suffix).unlink()
-
-
-def test_fully_cached_plan_starts_no_pool(
+def test_cached_suite_starts_no_pool(
     tmp_path: Path, monkeypatch, skeleton_calls
 ) -> None:
     config = _config(4, target_axiom="sc_per_loc")
     run_sharded(config, jobs=1, shard_count=3, store=SuiteStore(tmp_path))
     skeleton_calls.clear()
-    _drop_whole_results(tmp_path)
 
     created: list = []
 
@@ -243,10 +234,9 @@ def test_fully_cached_plan_starts_no_pool(
 
     monkeypatch.setattr(executor_module, "PoolManager", RecordingPool)
     record = run_sharded(config, jobs=2, shard_count=3, store=SuiteStore(tmp_path))
-    assert (record.shard_cache_hits, record.shard_cache_misses) == (3, 0)
+    assert record.suite_cache_hit
     assert created == []
     # A sweep's shared pool stays down too.
-    _drop_whole_results(tmp_path)
     shared = PoolManager(2)
     run_sharded(
         config, jobs=2, shard_count=3, store=SuiteStore(tmp_path), pool=shared

@@ -1,22 +1,24 @@
-"""Tests for the persistent suite store and resumable runs/sweeps."""
+"""Tests for the persistent whole-result store and cached runs/sweeps."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 from repro.models import x86t_elt
 from repro.orchestrate import (
-    ShardSpec,
-    ShardTask,
     SuiteStore,
     config_identity,
-    plan_shards,
-    run_shard,
     run_sharded,
     run_sweep_sharded,
     store_key,
 )
-from repro.orchestrate.store import KIND_SHARD, KIND_SUITE
+from repro.orchestrate.store import (
+    KIND_DIFF_CELL,
+    KIND_FUZZ_RUN,
+    KIND_SUITE,
+    payload_digest,
+)
 from repro.synth import SynthesisConfig, synthesize
 
 
@@ -30,7 +32,7 @@ class TestEntryKeys:
             config_identity(config_for("invlpg")), KIND_SUITE
         ) == store_key(config_identity(config_for("invlpg")), KIND_SUITE)
 
-    def test_key_separates_configs_kinds_and_shards(self) -> None:
+    def test_key_separates_configs_and_kinds(self) -> None:
         base = config_for("invlpg")
         identity = config_identity(base)
         keys = {
@@ -41,8 +43,8 @@ class TestEntryKeys:
                 config_identity(replace(base, dirty_bit_as_rmw=True)),
                 KIND_SUITE,
             ),
-            store_key(identity, KIND_SHARD, ShardSpec(0, 2)),
-            store_key(identity, KIND_SHARD, ShardSpec(1, 2)),
+            store_key(identity, KIND_DIFF_CELL),
+            store_key(identity, KIND_FUZZ_RUN),
         }
         assert len(keys) == 6
 
@@ -73,6 +75,77 @@ class TestStorePrimitives:
         assert store.get("somekey") is None  # now a true absence
         assert store.counters.misses == 1
 
+    def _damaged(self, tmp_path, damage) -> SuiteStore:
+        """A store whose one entry ``damage(store)`` has just broken,
+        read back once."""
+        store = SuiteStore(tmp_path)
+        store.put("somekey", [1, 2], {"kind": "test"})
+        damage(store)
+        assert store.get("somekey") is None
+        return store
+
+    def _assert_quarantined(self, store: SuiteStore) -> None:
+        assert store.counters.corrupt == 1
+        assert store.counters.misses == 0
+        assert not (store.entries_dir / "somekey.pkl").exists()
+        assert (store.quarantine_dir / "somekey.pkl").exists()
+
+    def test_flipped_payload_bit_fails_the_digest(self, tmp_path) -> None:
+        def flip(store):
+            path = store.entries_dir / "somekey.pkl"
+            data = bytearray(path.read_bytes())
+            data[-1] ^= 0x01
+            path.write_bytes(bytes(data))
+
+        store = self._damaged(tmp_path, flip)
+        self._assert_quarantined(store)
+        # The meta went aside with its payload.
+        assert (store.quarantine_dir / "somekey.json").exists()
+
+    def test_missing_meta_is_quarantined(self, tmp_path) -> None:
+        def drop_meta(store):
+            (store.entries_dir / "somekey.json").unlink()
+
+        self._assert_quarantined(self._damaged(tmp_path, drop_meta))
+
+    def test_undigested_meta_is_quarantined(self, tmp_path) -> None:
+        """An entry written before payload digests existed is never
+        unpickled unverified."""
+
+        def strip_digest(store):
+            path = store.entries_dir / "somekey.json"
+            meta = json.loads(path.read_text())
+            del meta["payload_blake2b"]
+            path.write_text(json.dumps(meta))
+
+        self._assert_quarantined(self._damaged(tmp_path, strip_digest))
+
+    def test_writes_leave_no_temporary_files(self, tmp_path) -> None:
+        store = SuiteStore(tmp_path)
+        store.put("first", {"x": 1}, {"kind": "test"})
+        store.put("first", {"x": 2}, {"kind": "test"})  # overwrite
+        store.put("second", {"y": 1}, {"kind": "test"})
+        assert sorted(path.name for path in store.entries_dir.iterdir()) == [
+            "first.json",
+            "first.pkl",
+            "second.json",
+            "second.pkl",
+        ]
+        assert store.get("first") == {"x": 2}
+
+    def test_entries_are_kind_specific(self, tmp_path) -> None:
+        store = SuiteStore(tmp_path)
+        identity = config_identity(config_for("invlpg"))
+        result = synthesize(config_for("invlpg"))
+        store.save(identity, KIND_SUITE, result)
+        assert store.load(identity, KIND_DIFF_CELL) is None
+        assert store.load(identity, KIND_FUZZ_RUN) is None
+        loaded = store.load(identity, KIND_SUITE)
+        assert loaded.keys() == result.keys()
+        meta = store._read_meta(store_key(identity, KIND_SUITE))
+        assert meta["kind"] == KIND_SUITE
+        assert meta["identity"] == identity
+
     def test_timed_out_results_are_never_cached(self, tmp_path) -> None:
         store = SuiteStore(tmp_path)
         config = replace(config_for("sc_per_loc", bound=6), time_budget_s=0.0)
@@ -95,23 +168,6 @@ class TestResumableRuns:
         assert second.suite_cache_hit
         assert second.result.keys() == first.result.keys()
         assert store.counters.hits >= 1
-
-    def test_interrupted_run_resumes_from_completed_shards(self, tmp_path) -> None:
-        """Simulate an interruption: one of three shards finished before
-        the crash; the rerun recomputes only the other two."""
-        store = SuiteStore(tmp_path)
-        config = config_for("sc_per_loc")
-        specs = plan_shards(1, shard_count=3)
-        done = run_shard(ShardTask(config, specs[0]))
-        store.save(config_identity(config), KIND_SHARD, done, specs[0])
-
-        resumed = run_sharded(config, jobs=1, shard_count=3, store=store)
-        assert resumed.shard_cache_hits == 1
-        assert resumed.shard_cache_misses == 2
-        serial = synthesize(config_for("sc_per_loc"))
-        assert [e.key for e in resumed.result.elts] == [
-            e.key for e in serial.elts
-        ]
 
 
 class TestResumableSweeps:
@@ -148,9 +204,39 @@ class TestResumableSweeps:
         )
         assert [r.suite_cache_hit for r in again_records] == [True, True]
         assert store.counters.stores == final_stores
-        assert sum(
-            r.shard_cache_misses for r in again_records
-        ) == 0
+
+    def test_failed_shard_ends_the_sweep_but_keeps_finished_points(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        import pytest
+
+        import repro.orchestrate.runner as runner_module
+        from repro.errors import ShardFailure
+
+        real_worker = runner_module.run_shard
+
+        def bound_five_breaks(task):
+            if task.config.bound == 5:
+                raise RuntimeError("bound 5 broke")
+            return real_worker(task)
+
+        monkeypatch.setattr(runner_module, "run_shard", bound_five_breaks)
+        store = SuiteStore(tmp_path)
+        base = SynthesisConfig(bound=5, model=x86t_elt())
+        with pytest.raises(ShardFailure) as excinfo:
+            run_sweep_sharded(
+                base, axioms=["invlpg"], min_bound=4, max_bound=6, store=store
+            )
+        assert excinfo.value.label == "s0/1"
+        # Bound 4 finished before the failure; bound 6 never started.
+        assert store.counters.stores == 1
+
+        monkeypatch.setattr(runner_module, "run_shard", real_worker)
+        sweep, records = run_sweep_sharded(
+            base, axioms=["invlpg"], min_bound=4, max_bound=6, store=store
+        )
+        assert [r.suite_cache_hit for r in records] == [True, False, False]
+        assert [point.bound for point in sweep.points] == [4, 5, 6]
 
 
 class TestStaleEntries:
@@ -210,7 +296,8 @@ class TestStaleEntries:
         monkeypatch.delattr(diff_module, "DiscriminatingElt")
 
         payload = (store.entries_dir / f"{key}.pkl").read_bytes()
-        assert store.verify().clean  # the digest vouches for the bytes
+        # The digest vouches for the bytes.
+        assert payload_digest(payload) == store._read_meta(key)["payload_blake2b"]
         with pytest.raises(AttributeError):
             pickle.loads(payload)
 
