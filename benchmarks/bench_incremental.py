@@ -49,10 +49,9 @@ from pathlib import Path
 
 
 def _reset_caches() -> None:
-    from repro.synth import clear_minimality_cache, shared_session_cache
+    from repro.synth import shared_session_cache
 
     shared_session_cache().clear()
-    clear_minimality_cache()
 
 
 def _suite_digest(result, prefix: str) -> str:

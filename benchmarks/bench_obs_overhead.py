@@ -47,10 +47,9 @@ OVERHEAD_BUDGET = 0.02
 
 
 def _reset_caches() -> None:
-    from repro.synth import clear_minimality_cache, shared_session_cache
+    from repro.synth import shared_session_cache
 
     shared_session_cache().clear()
-    clear_minimality_cache()
 
 
 # ----------------------------------------------------------------------

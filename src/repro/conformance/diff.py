@@ -68,7 +68,8 @@ from ..synth.canon import (  # noqa: F401
     canonical_program_key,
     identity_program_key,
 )
-from ..synth.relax import cached_is_minimal, is_minimal  # noqa: F401
+from ..synth.engine import _uncached_is_minimal as cached_is_minimal  # noqa: F401
+from ..synth.relax import is_minimal  # noqa: F401
 
 
 class Refinement(Enum):

@@ -38,8 +38,13 @@ from ..synth.canon import (
     identity_program_key,
 )
 from ..synth.engine import witness_stream_factory
-from ..synth.relax import cached_is_minimal, is_minimal
+from ..synth.relax import is_minimal
 from .config import FuzzConfig, FuzzStats
+
+# Nothing here calls this name.  It stays importable from this module,
+# as an alias of the program loop's minimality check, only because the
+# end-to-end benchmark's span map (bench_e2e/layers.py) wraps it here.
+from ..synth.engine import _uncached_is_minimal as cached_is_minimal  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -88,13 +93,14 @@ class DifferentialOracle:
         self.stage_times: dict = {}
         base = config.base_synthesis_config()
         self._use_symmetry = base.symmetry
-        self._use_shared_minimality = base.incremental
         self._stream, self.sat_stats = witness_stream_factory(
             base, stage_times=self.stage_times
         )
         #: canonical program key -> ClassSummary (class-pure replay).
         self._memo: dict = {}
-        #: local minimality cache for the --fresh-solver oracle path.
+        #: canonical execution key -> §IV-B verdict under the reference,
+        #: for this oracle's lifetime (classify, judge and every shrink
+        #: step re-query the same witnesses).
         self._minimal_cache: dict = {}
 
     # -- keys -----------------------------------------------------------
@@ -152,10 +158,6 @@ class DifferentialOracle:
     def _is_minimal(
         self, execution: Execution, execution_key: tuple, evaluation: Evaluation
     ) -> bool:
-        if self._use_shared_minimality:
-            return cached_is_minimal(
-                execution, self.reference, execution_key, evaluation
-            )
         verdict = self._minimal_cache.get(execution_key)
         if verdict is None:
             verdict = is_minimal(execution, self.reference, evaluation)

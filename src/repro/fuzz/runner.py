@@ -4,7 +4,8 @@
 with the exact machinery every sharded run uses — deterministic shard
 plan (:func:`repro.orchestrate.plan_shards`) and, for each round, the
 one shard executor (:func:`repro.orchestrate.execute_plan`, inline or
-on a spawn pool) — plus a store entry for the whole run.
+on the campaign's one spawn pool) — plus a store entry for the whole
+run.
 
 The determinism contract, end to end:
 
@@ -35,6 +36,7 @@ from ..obs import current_registry
 from ..orchestrate.executor import execute_plan, wall_deadline
 from ..orchestrate.shards import ShardSpec, plan_shards
 from ..orchestrate.store import KIND_FUZZ_RUN, SuiteStore
+from ..resilience.scheduler import PoolManager
 from .config import FuzzConfig, FuzzStats, fuzz_identity
 from .coverage import CoverageMap, class_digest
 from .worker import FuzzShardResult, FuzzShardTask, run_fuzz_shard
@@ -174,34 +176,41 @@ def run_fuzz(
     stats = result.stats
     findings_by_key: Dict[tuple, FuzzFinding] = {}
 
-    for round_index in range(config.rounds):
-        allocation = coverage.allocate(config.attempts_per_round)
+    # Every round runs on the campaign's one pool (booted by the first).
+    pool: Optional[PoolManager] = PoolManager(jobs) if jobs > 1 else None
+    try:
+        for round_index in range(config.rounds):
+            allocation = coverage.allocate(config.attempts_per_round)
 
-        def make_task(spec: ShardSpec, observe: bool):
-            return FuzzShardTask(
-                config=shard_config,
-                round_index=round_index,
-                allocation=allocation,
-                spec=spec,
-                wall_deadline=deadline,
-                observe=observe,
+            def make_task(spec: ShardSpec, observe: bool):
+                return FuzzShardTask(
+                    config=shard_config,
+                    round_index=round_index,
+                    allocation=allocation,
+                    spec=spec,
+                    wall_deadline=deadline,
+                    observe=observe,
+                )
+
+            shards = execute_plan(
+                specs,
+                make_task,
+                run_fuzz_shard,
+                jobs=jobs,
+                pool=pool,
+                progress=f"fuzz r{round_index}",
             )
-
-        shards = execute_plan(
-            specs,
-            make_task,
-            run_fuzz_shard,
-            jobs=jobs,
-            progress=f"fuzz r{round_index}",
-        )
-        for shard in shards:
-            stats.absorb(shard.stats)
-        novelty = _merge_round(coverage, findings_by_key, round_index, shards)
-        coverage.finish_round(novelty)
-        result.rounds_run = round_index + 1
-        if any(shard.stats.timed_out for shard in shards):
-            stats.timed_out = True
-            break
+            for shard in shards:
+                stats.absorb(shard.stats)
+            novelty = _merge_round(coverage, findings_by_key, round_index, shards)
+            coverage.finish_round(novelty)
+            result.rounds_run = round_index + 1
+            if any(shard.stats.timed_out for shard in shards):
+                stats.timed_out = True
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     result.findings = sorted(
         findings_by_key.values(),

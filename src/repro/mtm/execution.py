@@ -144,45 +144,47 @@ def resolve_pte_values(
     user_walk = {user: walk for walk, user in rf_ptw}
     mapping: dict[str, tuple[str, str]] = {}
     origin: dict[str, Optional[str]] = {}
-    in_progress: set[str] = set()
-
-    def resolve(walk_eid: str) -> tuple[tuple[str, str], Optional[str]]:
-        if walk_eid in mapping:
-            return mapping[walk_eid], origin[walk_eid]
-        if walk_eid in in_progress:
-            raise WellFormednessError(
-                f"{walk_eid}: circular PTE value flow (a walk transitively "
-                "reads a dirty-bit write that depends on it)"
-            )
-        in_progress.add(walk_eid)
-        walk = program.events[walk_eid]
-        assert walk.va is not None
-        source_eid = walk_source.get(walk_eid)
-        if source_eid is None:
-            value = (walk.va, program.initial_pa(walk.va))
-            source_origin: Optional[str] = None
-        else:
+    for eid, event in program.events.items():
+        if event.kind is not EventKind.PT_WALK:
+            continue
+        # Follow dirty-bit forwarding back to a walk whose mapping is
+        # known, or that loads a PTE write or the initial mapping; every
+        # walk on the way loads that mapping.  A loop, not a recursive
+        # closure: the closure's own cell would hold it in a reference
+        # cycle with the program until the cyclic collector ran.
+        chain: list[str] = []
+        walk_eid = eid
+        while walk_eid not in mapping:
+            if walk_eid in chain:
+                raise WellFormednessError(
+                    f"{walk_eid}: circular PTE value flow (a walk transitively "
+                    "reads a dirty-bit write that depends on it)"
+                )
+            chain.append(walk_eid)
+            source_eid = walk_source.get(walk_eid)
+            if source_eid is None:
+                walk = program.events[walk_eid]
+                assert walk.va is not None
+                value = (walk.va, program.initial_pa(walk.va))
+                source_origin: Optional[str] = None
+                break
             source = program.events[source_eid]
             if source.kind is EventKind.PTE_WRITE:
                 assert source.va is not None and source.pa is not None
                 value = (source.va, source.pa)
                 source_origin = source_eid
-            else:  # DIRTY_BIT_WRITE: forwards its parent's mapping
-                parent = program.parent_of(source_eid)
-                parent_walk = user_walk.get(parent)
-                if parent_walk is None:
-                    raise WellFormednessError(
-                        f"{source_eid}: dirty-bit write with untranslated parent"
-                    )
-                value, source_origin = resolve(parent_walk)
-        in_progress.discard(walk_eid)
-        mapping[walk_eid] = value
-        origin[walk_eid] = source_origin
-        return value, source_origin
-
-    for eid, event in program.events.items():
-        if event.kind is EventKind.PT_WALK:
-            resolve(eid)
+                break
+            # DIRTY_BIT_WRITE: forwards its parent's mapping
+            walk_eid = user_walk.get(program.parent_of(source_eid))
+            if walk_eid is None:
+                raise WellFormednessError(
+                    f"{source_eid}: dirty-bit write with untranslated parent"
+                )
+        else:
+            value, source_origin = mapping[walk_eid], origin[walk_eid]
+        for walk_eid in reversed(chain):
+            mapping[walk_eid] = value
+            origin[walk_eid] = source_origin
     return mapping, origin
 
 

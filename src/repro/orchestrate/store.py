@@ -152,9 +152,6 @@ class SuiteStore:
         return self.entries_dir / f"{key}.json"
 
     # -- primitives ----------------------------------------------------
-    def has(self, key: str) -> bool:
-        return self._payload_path(key).exists()
-
     def _read_meta(self, key: str) -> Optional[dict[str, Any]]:
         try:
             with open(self._meta_path(key), "r", encoding="utf-8") as handle:

@@ -33,8 +33,6 @@ from .engine import (
     witness_stream_factory,
 )
 from .relax import (
-    cached_is_minimal,
-    clear_minimality_cache,
     is_minimal,
     relaxation_becomes_permitted,
     relaxations,
@@ -85,8 +83,6 @@ __all__ = [
     "enumerate_witnesses_constrained",
     "program_cost",
     "is_minimal",
-    "cached_is_minimal",
-    "clear_minimality_cache",
     "WitnessSession",
     "WitnessSessionCache",
     "shared_session_cache",

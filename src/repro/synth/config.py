@@ -70,9 +70,10 @@ class SynthesisConfig:
     #: same process (see :mod:`repro.synth.sat_backend`).  Output is
     #: byte-identical either way — the session's full enumeration runs on
     #: a cold solver over the shared translation — so this knob trades
-    #: nothing but serves as the differential oracle switch; it also
-    #: enables the cross-run minimality cache.  Off: rebuild everything
-    #: per query (the fresh-solver path).
+    #: nothing but serves as the differential oracle switch.  It selects
+    #: only the SAT witness sessions; the explicit backend ignores it.
+    #: Off: translate every program afresh per query (the fresh-solver
+    #: path).
     incremental: bool = True
     #: Symmetry-aware enumeration (:mod:`repro.symmetry`): per-program
     #: automorphism groups quotient the witness stream (one orbit

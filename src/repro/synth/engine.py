@@ -80,15 +80,23 @@ from .canon import (
     identity_program_key,
 )
 from .config import SynthesisConfig
-from .relax import cached_is_minimal, is_minimal, model_fingerprint
+from .relax import is_minimal, model_fingerprint
 from .skeletons import enumerate_programs
 from .witnesses import enumerate_witnesses
 
 
-def _uncached_is_minimal(execution, model, execution_key, evaluation=None) -> bool:
-    """The fresh-path minimality check (same signature as
-    :func:`~repro.synth.relax.cached_is_minimal`, no shared state)."""
+def _uncached_is_minimal(execution, model, evaluation=None) -> bool:
+    """:func:`~repro.synth.relax.is_minimal` as :func:`run_queries` calls
+    it on a per-pass memo miss.  The loop resolves it through this
+    module's globals, where the end-to-end benchmark's span map
+    (bench_e2e/layers.py, "relax.minimality") wraps it."""
     return is_minimal(execution, model, evaluation)
+
+
+# Nothing calls this name.  It stays importable from this module only
+# because the end-to-end benchmark's span map (bench_e2e/layers.py)
+# wraps it here.
+cached_is_minimal = _uncached_is_minimal
 
 #: Order keys are tuples of ints; comparisons only ever happen between
 #: keys produced by the same enumeration scheme.
@@ -378,12 +386,11 @@ def run_queries(
     lazily computed canonical key.  The loop does the rest, identically
     for every query: candidates are checked for §IV-B minimality under
     ``query.model`` — once per (model, canonical key) per pass, through
-    :func:`~repro.synth.relax.cached_is_minimal` when
-    ``config.incremental`` is on, in the witness's one evaluation, whose
-    recorded violation usually decides the check — each distinct
-    minimal key counts once in ``stats.minimal``, and each program's
-    smallest ``(canonical key, witness sort key)`` minimal candidate
-    competes for its class entry (:func:`_fold`).
+    the pass's own memo, in the witness's one evaluation, whose recorded
+    violation usually decides the check — each distinct minimal key
+    counts once in ``stats.minimal``, and each program's smallest
+    ``(canonical key, witness sort key)`` minimal candidate competes for
+    its class entry (:func:`_fold`).  No verdict outlives the pass.
 
     With ``config.symmetry``, each program's witness stream arrives
     orbit-pruned and weighted (see :func:`witness_stream_factory`), and
@@ -408,9 +415,6 @@ def run_queries(
     stage_times = lead.stage_times
     witness_stream, sat_stats = witness_stream_factory(
         config, stage_times=stage_times
-    )
-    check_minimal = (
-        cached_is_minimal if config.incremental else _uncached_is_minimal
     )
     #: Per query: (query, minimality memo shared by every query judged
     #: under the same model, minimal keys already credited).
@@ -537,8 +541,8 @@ def run_queries(
                         minimal = memo.get(execution_key)
                         if minimal is None:
                             checked = clock()
-                            minimal = check_minimal(
-                                execution, query.model, execution_key, evaluation
+                            minimal = _uncached_is_minimal(
+                                execution, query.model, evaluation
                             )
                             minimality_s += clock() - checked
                             memo[execution_key] = minimal

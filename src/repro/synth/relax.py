@@ -112,7 +112,6 @@ restricted view.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Iterator, Optional
 
 from ..models import Evaluation, MemoryModel
@@ -367,58 +366,16 @@ def _violation_atoms(
     return None
 
 
-# ----------------------------------------------------------------------
-# Cross-run minimality cache (the incremental-session companion)
-# ----------------------------------------------------------------------
-#: Capacity of the process-level minimality cache (entries are booleans
-#: keyed by (model fingerprint, canonical execution key)).
-MINIMALITY_CACHE_SIZE = 1 << 16
-
-_MINIMALITY_CACHE: "OrderedDict[tuple, bool]" = OrderedDict()
-
-
 def model_fingerprint(model: MemoryModel) -> tuple:
-    """Semantic identity of a model for process-level caches: its name
-    plus each axiom's (name, predicate-function) pair.  Catalog models
-    are built from shared module-level :class:`~repro.models.Axiom`
-    constants, so re-instantiating one yields the same fingerprint.  The
-    predicate *objects* (not their ids) are the keys, so a cache holding
-    a fingerprint pins them and a recycled function id can never alias
-    two different models."""
+    """Semantic identity of a model for memos keyed by model (the
+    per-pass minimality memos, the diff model table, the SAT session's
+    selections): its name plus each axiom's (name, predicate-function)
+    pair.  Catalog models are built from shared module-level
+    :class:`~repro.models.Axiom` constants, so re-instantiating one
+    yields the same fingerprint.  The predicate *objects* (not their
+    ids) are the keys, so a memo holding a fingerprint pins them and a
+    recycled function id can never alias two different models."""
     return (
         model.name,
         tuple((a.name, a.predicate) for a in model.axioms),
     )
-
-
-def cached_is_minimal(
-    execution: Execution,
-    model: MemoryModel,
-    execution_key,
-    evaluation: Optional[Evaluation] = None,
-) -> bool:
-    """:func:`is_minimal` through the process-level cache.
-
-    Minimality is invariant under program/witness isomorphism, so the
-    verdict is a pure function of (canonical execution key, model) — the
-    caller supplies the key it already computed for deduplication.  The
-    cache spans runs: per-axiom suites at one bound, sweep points, and
-    diff pairs sharing a reference model all hit the same entries.  Used
-    by the pipelines only when ``SynthesisConfig.incremental`` is on, so
-    the fresh path stays a cache-free differential oracle.  A miss is
-    decided in the caller's ``evaluation`` when given (:func:`is_minimal`).
-    """
-    key = (model_fingerprint(model), execution_key)
-    cached = _MINIMALITY_CACHE.get(key)
-    if cached is None:
-        cached = is_minimal(execution, model, evaluation)
-        _MINIMALITY_CACHE[key] = cached
-        while len(_MINIMALITY_CACHE) > MINIMALITY_CACHE_SIZE:
-            _MINIMALITY_CACHE.popitem(last=False)
-    else:
-        _MINIMALITY_CACHE.move_to_end(key)
-    return cached
-
-
-def clear_minimality_cache() -> None:
-    _MINIMALITY_CACHE.clear()

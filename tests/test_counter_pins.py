@@ -2,11 +2,10 @@
 
 Every :class:`~repro.synth.SuiteStats` field except the wall-clock ones
 (``runtime_s``, ``stage_times``) is a deterministic function of the
-configuration once the process-level caches are cold: the witness
-session cache decides which run pays for a translation and the
-minimality cache only ever saves work.  The string hash seed must not
+configuration once the process-level witness session cache is cold: it
+decides which run pays for a translation.  The string hash seed must not
 matter either; the SAT rows are measured under two (:data:`HASH_SEEDS`).
-Each run below clears both caches first, so the table pins the counters
+Each run below clears that cache first, so the table pins the counters
 of :func:`repro.synth.engine.run_queries` for its three callers:
 
 * ``synthesize`` — the one-query case, with and without generation-time
@@ -38,7 +37,6 @@ from repro.models import x86t_amd_bug, x86t_elt
 from repro.synth import (
     SuiteStats,
     SynthesisConfig,
-    clear_minimality_cache,
     shared_session_cache,
     synthesize,
 )
@@ -113,27 +111,22 @@ SYNTHESIS_RUNS = {
 HASH_SEEDS = ("0", "3")
 
 
-def _cold_caches() -> None:
-    shared_session_cache().clear()
-    clear_minimality_cache()
-
-
 def _row(stats: SuiteStats) -> list:
     return [getattr(stats, name) for name in FIELDS]
 
 
 def measure(sat_only: bool = False) -> dict:
     """Every pinned row (or only the SAT-backend rows), each run starting
-    from cold caches."""
+    from a cold session cache."""
     rows = {}
     for label, overrides in SYNTHESIS_RUNS.items():
         if sat_only and overrides.get("witness_backend") != "sat":
             continue
-        _cold_caches()
+        shared_session_cache().clear()
         config = SynthesisConfig(bound=5, target_axiom="invlpg", **overrides)
         rows[f"synthesize/invlpg@5/{label}"] = _row(synthesize(config).stats)
     for backend in ("sat",) if sat_only else ("explicit", "sat"):
-        _cold_caches()
+        shared_session_cache().clear()
         diff = DiffConfig(
             base=SynthesisConfig(
                 bound=5, model=x86t_elt(), witness_backend=backend
@@ -143,7 +136,7 @@ def measure(sat_only: bool = False) -> dict:
         rows[f"diff/x86t_elt->x86t_amd_bug@5/{backend}"] = _row(
             diff_models(diff).stats
         )
-    _cold_caches()
+    shared_session_cache().clear()
     matrix, _records = run_all_pairs(
         SynthesisConfig(bound=4, model=x86t_elt(), witness_backend="sat"),
         jobs=1,

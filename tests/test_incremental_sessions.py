@@ -386,11 +386,6 @@ class TestSessionCache:
     def test_shared_cache_is_process_singleton(self) -> None:
         assert shared_session_cache() is shared_session_cache()
 
-    def test_minimality_cache_clears(self) -> None:
-        from repro.synth import clear_minimality_cache
-
-        clear_minimality_cache()  # idempotent housekeeping entry point
-
     def test_selection_needs_a_model(self) -> None:
         from repro.errors import SynthesisError
 
@@ -559,10 +554,7 @@ class TestCliSurface:
         # The session's translate/solve/decode run inside witness
         # production; "enumerate" excludes them, so no stage overlaps
         # another and together they fit in the run.
-        from repro.synth import clear_minimality_cache
-
         shared_session_cache().clear()  # cold: the session stages run
-        clear_minimality_cache()
         code, captured = self._run(
             capsys,
             [

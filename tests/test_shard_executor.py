@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.fuzz.runner as fuzz_runner_module
 import repro.orchestrate.executor as executor_module
 from repro.conformance import DiffConfig, cell_to_json, run_all_pairs, run_diff
 from repro.errors import ShardFailure
@@ -64,8 +65,8 @@ def _all_pairs(store, jobs=1):
     return "".join(_cell_bytes(matrix.cells[pair]) for pair in sorted(matrix.cells))
 
 
-def _fuzz(store, jobs=1):
-    config = FuzzConfig(seed=0, bound=6, rounds=2, attempts_per_round=32)
+def _fuzz(store, jobs=1, rounds=2):
+    config = FuzzConfig(seed=0, bound=6, rounds=rounds, attempts_per_round=32)
     result = run_fuzz(config, jobs=jobs, shard_count=3, store=store)
     findings = [
         (finding.digest, finding.source, finding.occurrences)
@@ -149,7 +150,10 @@ class _RecordingPool(executor_module.PoolManager):
 @pytest.fixture
 def recording_pool(monkeypatch):
     _RecordingPool.made = []
-    monkeypatch.setattr(executor_module, "PoolManager", _RecordingPool)
+    # Every module that builds a pool: the executor (a plan without one)
+    # and the fuzz campaign (one for all its rounds).
+    for module in (executor_module, fuzz_runner_module):
+        monkeypatch.setattr(module, "PoolManager", _RecordingPool)
     return _RecordingPool.made
 
 
@@ -233,6 +237,15 @@ def test_a_dying_worker_fails_the_plan(recording_pool) -> None:
     (failure,) = raised
     assert failure.label == "s0/3"
     assert isinstance(failure.__cause__, BrokenProcessPool)
+    (pool,) = recording_pool
+    assert pool._executor is None
+    assert pool.reaped
+
+
+def test_fuzz_rounds_share_one_pool(recording_pool) -> None:
+    serial = _fuzz(None, rounds=3)
+    assert recording_pool == []
+    assert _fuzz(None, jobs=2, rounds=3) == serial
     (pool,) = recording_pool
     assert pool._executor is None
     assert pool.reaped

@@ -334,12 +334,11 @@ class TestOracleEquivalence:
         assert ablated.stats.orbit_replays > 0
 
     def test_ablation_skips_translations_on_sat_backend(self) -> None:
-        from repro.synth import clear_minimality_cache, shared_session_cache
+        from repro.synth import shared_session_cache
 
         # The translation count is only meaningful on a cold
         # process-level session cache.
         shared_session_cache().clear()
-        clear_minimality_cache()
         ablated = synthesize(
             SynthesisConfig(
                 bound=5,
