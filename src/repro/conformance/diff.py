@@ -10,7 +10,7 @@ query classifying every candidate execution under both models.
 
 * The candidate enumeration happens **once** per program for every
   pair in flight; under the SAT backend the relational translation is
-  built once per program via the witness sessions of
+  built once per program by the witness session of
   :mod:`repro.synth.sat_backend`.
 * Classification shares axiom verdicts through one
   :class:`~repro.models.AxiomTable` spanning all models in flight: each
@@ -31,7 +31,7 @@ Everything else — orbit replay, minimality, order-free representative
 selection, deadlines, SAT counters — is the shared loop's, so a diff
 suite's entries are :class:`~repro.synth.SynthesizedElt` records whose
 ``.elts`` bytes are identical across ``--jobs`` settings, witness
-backends, ``--fresh-solver``, and ``--no-symmetry``.
+backends and ``--no-symmetry``.
 """
 
 from __future__ import annotations

@@ -3,10 +3,9 @@
 :class:`FuzzConfig` is the fuzz analogue of
 :class:`~repro.synth.SynthesisConfig`: everything that shapes a run.
 Fields that change *what* the run finds participate in the store
-identity (:func:`fuzz_identity`); the execution-strategy knobs the rest
-of the pipeline treats as output-invariant (``witness_backend``'s
-session/symmetry companions) are excluded exactly like
-:func:`repro.orchestrate.store.config_identity` excludes them.
+identity (:func:`fuzz_identity`); ``symmetry``, the execution strategy
+the rest of the pipeline treats as output-invariant, is excluded exactly
+like :func:`repro.orchestrate.store.config_identity` excludes it.
 
 :class:`FuzzStats` is the run's deterministic counter block.  Counters
 marked *serial-deterministic* reproduce exactly for a fixed seed at
@@ -61,7 +60,6 @@ class FuzzConfig:
     time_budget_s: Optional[float] = None
     # Execution-strategy knobs (output-invariant, excluded from identity).
     witness_backend: str = "explicit"
-    incremental: bool = True
     symmetry: bool = True
 
     def __post_init__(self) -> None:
@@ -78,7 +76,6 @@ class FuzzConfig:
             target_axiom=None,
             max_threads=self.max_threads,
             witness_backend=self.witness_backend,
-            incremental=self.incremental,
             symmetry=self.symmetry,
         )
 

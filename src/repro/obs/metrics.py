@@ -14,15 +14,15 @@ Metrics split into two classes:
 
 * **deterministic** — counters and histograms whose values are a pure
   function of the synthesis configuration, *independent of ``--jobs``,
-  cache warmth, and machine*.  Histogram observations follow the same
-  snapshot-replay convention the solver counters use (see
-  :mod:`repro.synth.sat_backend`): a cached replay re-observes the
-  enumeration's snapshot, so the totals never depend on where work
-  actually happened.  ``deterministic_snapshot()`` is what run manifests
-  embed and what CI pins against a baseline.
-* **informational** — process-shaped values (session-cache hit counts,
-  store hits/misses) that legitimately vary across ``--jobs``.  They are
-  reported, but excluded from the deterministic snapshot.
+  cache warmth, and machine*.  The SAT histograms observe each
+  program's enumeration once, in whichever process runs it
+  (:func:`repro.synth.engine.witness_stream_factory`), so the totals
+  never depend on where work actually happened.
+  ``deterministic_snapshot()`` is what run manifests embed and what CI
+  pins against a baseline.
+* **informational** — process-shaped values (store hits/misses) that
+  legitimately vary across ``--jobs``.  They are reported, but excluded
+  from the deterministic snapshot.
 
 ``absorb`` merges are commutative and associative (integer sums,
 bucket-wise histogram sums, min/max), so shard-merged totals equal the

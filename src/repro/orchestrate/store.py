@@ -93,12 +93,10 @@ def config_identity(config: SynthesisConfig) -> dict[str, Any]:
     for name, value in asdict(config).items():
         if name == "model":
             continue
-        if name in ("incremental", "symmetry"):
-            # Output-invariant execution strategies (like --jobs): the
-            # incremental-session path is contractually byte-identical
-            # to the fresh-solver path and the symmetry-pruned path to
-            # the --no-symmetry oracle, so each variant shares cache
-            # entries.
+        if name == "symmetry":
+            # An output-invariant execution strategy (like --jobs): the
+            # symmetry-pruned path is contractually byte-identical to the
+            # --no-symmetry oracle, so both share cache entries.
             continue
         identity[name] = value
     return identity

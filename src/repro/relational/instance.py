@@ -30,6 +30,20 @@ class Instance:
                     f"{sorted(stray)}"
                 )
 
+    @classmethod
+    def _trusted(
+        cls, atoms: tuple[Atom, ...], relations: dict[str, TupleSet]
+    ) -> "Instance":
+        """Internal fast path beside :meth:`__init__`, as
+        :meth:`TupleSet._raw` sits beside ``TupleSet.__init__``: callers
+        guarantee ``atoms`` is duplicate-free and every relation stays
+        inside it (the SAT decoder, whose tuples all come from declared
+        bounds), and hand over ``relations`` without keeping it."""
+        out = object.__new__(cls)
+        out._atoms = atoms
+        out._relations = relations
+        return out
+
     @property
     def atoms(self) -> tuple[Atom, ...]:
         return self._atoms

@@ -9,17 +9,14 @@ compile to circuits; the Tseitin transformation yields CNF which the
 
 This is exactly the pipeline TransForm relies on via Alloy 4.2 + Kodkod +
 MiniSat (paper §IV-C), re-implemented at the scale this reproduction needs,
-plus two capabilities the synthesis pipelines lean on:
+plus **symmetry breaking**: :meth:`Problem.add_symmetry` registers
+solution-space symmetries that compile into static lex-leader clauses,
+so enumerations visit one member per orbit (:mod:`repro.symmetry`
+derives the permutations from program automorphism groups).
 
-* **constraint groups and sessions** — named, individually selectable
-  constraint sets (:meth:`Problem.constrain` with ``group=``) queried
-  incrementally through :class:`ProblemSession` (one translation, one
-  persistent solver, activation-literal assumptions; the contract is
-  spelled out on the class);
-* **symmetry breaking** — :meth:`Problem.add_symmetry` registers
-  solution-space symmetries that compile into static lex-leader clauses,
-  so enumerations visit one member per orbit (:mod:`repro.symmetry`
-  derives the permutations from program automorphism groups).
+A problem is translated once and enumerated once, on a cold solver
+(:meth:`Problem.iter_instances`, or :class:`ProblemSession` when the
+caller times translation and enumeration apart).
 """
 
 from __future__ import annotations
@@ -91,11 +88,6 @@ class Problem:
         #: (mirrored into :attr:`~repro.sat.SolverStats.symmetry_clauses`
         #: of the enumerating solver).
         self.last_symmetry_clauses = 0
-        #: Named, individually selectable constraint sets.  Base
-        #: constraints (group None) always hold; a group's constraints
-        #: hold only in queries that select it — hard-compiled by the
-        #: fresh path, activation-literal-guarded by sessions.
-        self._group_constraints: dict[str, list[ast.Formula]] = {}
         #: Live counters of the solver behind the most recent
         #: :meth:`solve`/:meth:`iter_instances` call (None before the first).
         self.last_solver_stats: Optional[SolverStats] = None
@@ -150,21 +142,9 @@ class Problem:
         self._defs[name] = (arity, expr)
         return ast.Rel(name, arity)
 
-    def constrain(
-        self, formula: ast.Formula, group: Optional[str] = None
-    ) -> None:
-        """Add a constraint — unconditionally (``group=None``), or into the
-        named selectable group (see :meth:`session` and the ``groups``
-        parameter of :meth:`solve`/:meth:`iter_instances`)."""
-        if group is None:
-            self._constraints.append(formula)
-        else:
-            self._group_constraints.setdefault(group, []).append(formula)
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        """Registered constraint-group names, in registration order."""
-        return tuple(self._group_constraints)
+    def constrain(self, formula: ast.Formula) -> None:
+        """Add a constraint every instance must satisfy."""
+        self._constraints.append(formula)
 
     def add_symmetry(
         self, permutation: dict[str, dict[Tuple_, Tuple_]]
@@ -194,10 +174,7 @@ class Problem:
         The constraint is sound only if ``permutation`` really is an
         automorphism (it maps solutions to solutions); callers are
         responsible for that, and for weighting any counts by orbit size
-        when the pruned enumeration stands in for the full one.  The
-        clauses live in the base CNF, so they apply identically to the
-        fresh path, :class:`ProblemSession` queries, and
-        :meth:`ProblemSession.iter_base_instances`.
+        when the pruned enumeration stands in for the full one.
         """
         cleaned: dict[str, dict[Tuple_, Tuple_]] = {}
         for name, mapping in permutation.items():
@@ -220,60 +197,31 @@ class Problem:
             cleaned[name] = entries
         self._symmetries.append(cleaned)
 
-    def _group_formulas(self, name: str) -> list[ast.Formula]:
-        formulas = self._group_constraints.get(name)
-        if formulas is None:
-            raise RelationalError(f"unknown constraint group {name!r}")
-        return formulas
-
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
-    def solve(self, groups: Iterable[str] = ()) -> Optional[Instance]:
+    def solve(self) -> Optional[Instance]:
         """Return one satisfying instance, or None."""
-        for instance in self.iter_instances(limit=1, groups=groups):
+        for instance in self.iter_instances(limit=1):
             return instance
         return None
 
-    def iter_instances(
-        self, limit: Optional[int] = None, groups: Iterable[str] = ()
-    ) -> Iterator[Instance]:
-        """Enumerate satisfying instances, distinct on declared relations.
-
-        ``groups`` selects constraint groups to enforce alongside the base
-        constraints; they are compiled as hard constraints by this fresh
-        path (one translation, one cold solver per call) — the
-        differential oracle for :class:`ProblemSession`'s
-        activation-literal encoding of the same selection.
+    def iter_instances(self, limit: Optional[int] = None) -> Iterator[Instance]:
+        """Enumerate satisfying instances, distinct on declared relations:
+        translate once (on the first ``next``), then enumerate on a cold
+        solver (:meth:`ProblemSession.iter_base_instances`).
 
         After each call (and while one is in flight) ``last_solver_stats``
         holds the live :class:`~repro.sat.SolverStats` of the underlying
         solver, for benchmarks and the synthesis engine's reporting.
-
-        Blocking clauses negate only the *decision literals* of each model:
-        every Tseitin auxiliary variable is fully defined (by equivalence
-        clauses) in terms of the tuple variables, so each assignment of the
-        declared relations extends to exactly one total model, and blocking
-        that model blocks exactly one instance — with a much shorter clause
-        than one spanning every tuple variable.
         """
         if limit is not None and limit <= 0:
             return
-        compiled = _Compilation(self, groups=tuple(groups))
-        solver = CdclSolver(compiled.cnf)
-        solver.stats.symmetry_clauses = compiled.symmetry_clauses
-        self.last_solver_stats = solver.stats
-        count = 0
-        for model in solver.iter_solutions():
-            yield compiled.decode(model)
-            count += 1
-            if limit is not None and count >= limit:
-                return
+        yield from self.session().iter_base_instances(limit)
 
     def session(self) -> "ProblemSession":
-        """Open an incremental session: one translation, one persistent
-        solver, constraint groups toggled per query by activation-literal
-        assumptions (see :class:`ProblemSession`)."""
+        """Translate the problem now; enumerate it later (see
+        :class:`ProblemSession`)."""
         return ProblemSession(self)
 
 
@@ -285,23 +233,21 @@ def _all_tuples(atoms: tuple[Atom, ...], arity: int) -> list[Tuple_]:
 
 
 class _Compilation:
-    """Compiled form of a Problem: CNF + decoding tables.
+    """Compiled form of a Problem: CNF + decoding tables."""
 
-    ``groups`` selects constraint groups to hard-compile alongside the
-    base constraints (the fresh-solver path).  The circuit builder, memo
-    caches, and Tseitin cache stay live after construction, so a session
-    can keep compiling *additional* formulas (group roots, guarded by
-    activation literals) into the same CNF at marginal cost — the
-    "translate once" half of incremental witness sessions.
-    """
-
-    def __init__(self, problem: Problem, groups: tuple[str, ...] = ()) -> None:
+    def __init__(self, problem: Problem) -> None:
         self.problem = problem
         self.builder = BoolBuilder()
         self.cnf = Cnf()
         self._rel_matrices: dict[str, Matrix] = {}
-        self._var_to_entry: dict[int, tuple[str, Tuple_]] = {}
-        self.tuple_vars: list[int] = []
+        #: Decoding tables.  A relation whose bounds are exact is the same
+        #: in every model: its tuple set is built here, once.  Per model,
+        #: :meth:`decode` fills in only the free relations, from their
+        #: ``(variable, tuple)`` entries.
+        self._decoded_template: dict[str, Optional[TupleSet]] = {}
+        self._free_relations: list[
+            tuple[str, int, frozenset[Tuple_], list[tuple[int, Tuple_]]]
+        ] = []
         self._tseitin_cache: dict[BoolNode, int] = {}
         # Compilation memos, keyed on (node identity, the env bindings the
         # node actually references).  Quantifiers re-compile their body
@@ -315,26 +261,35 @@ class _Compilation:
 
         for name, bound in problem._bounds.items():
             matrix: Matrix = {}
+            entries: list[tuple[int, Tuple_]] = []
             for t in sorted(bound.upper):
                 if t in bound.lower:
                     matrix[t] = TRUE
                 else:
                     var = self.cnf.new_var()
                     matrix[t] = self.builder.var(var)
-                    self._var_to_entry[var] = (name, t)
-                    self.tuple_vars.append(var)
+                    entries.append((var, t))
             self._rel_matrices[name] = matrix
+            # Decoded tuples come from bounds that RelationBound (arity)
+            # and Problem.declare (atoms) already checked, so decode does
+            # not validate them again.
+            if entries:
+                self._decoded_template[name] = None
+                self._free_relations.append(
+                    (name, bound.arity, bound.lower, entries)
+                )
+            else:
+                self._decoded_template[name] = TupleSet._raw(
+                    bound.arity, bound.lower
+                )
 
         self.symmetry_clauses = 0
         for permutation in problem._symmetries:
             self._emit_lex_leader(permutation)
         problem.last_symmetry_clauses = self.symmetry_clauses
 
-        constraints = list(problem._constraints)
-        for name in groups:
-            constraints.extend(problem._group_formulas(name))
         root_nodes = [
-            self._formula(constraint, {}) for constraint in constraints
+            self._formula(constraint, {}) for constraint in problem._constraints
         ]
         root = self.builder.and_(root_nodes)
         root_lit = self._tseitin(root)
@@ -347,8 +302,8 @@ class _Compilation:
         registered symmetry.
 
         The variable vector runs over the free entries of the permuted
-        relations in declaration/allocation order (the order
-        ``tuple_vars`` was filled in); fixed points of the permutation
+        relations in declaration/allocation order (the order their
+        tuple variables were allocated in); fixed points of the permutation
         contribute nothing.  With ``0 < 1`` per component and the first
         difference deciding, ``x ⪰_lex σ(x)`` keeps exactly the orbit
         member whose sorted concrete tuple listing is smallest — aligned
@@ -407,13 +362,6 @@ class _Compilation:
                 emitted += 5
             prev = e
         self.symmetry_clauses += emitted
-
-    def compile_root(self, formulas: Iterable[ast.Formula]) -> int:
-        """Compile a conjunction of formulas into the live CNF and return
-        its root literal (no unit clause is added — the caller decides how
-        the root is asserted, e.g. guarded by an activation literal)."""
-        nodes = [self._formula(formula, {}) for formula in formulas]
-        return self._tseitin(self.builder.and_(nodes))
 
     # ------------------------------------------------------------------
     # Compilation memoization
@@ -658,44 +606,21 @@ class _Compilation:
         """
         cache = self._tseitin_cache
         cnf = self.cnf
-
-        def true_lit() -> int:
-            var = cache.get(TRUE)
-            if var is None:
-                var = cnf.new_var()
-                cnf.add_clause_trusted([var])
-                cache[TRUE] = var
-            return var
-
-        def known(n: BoolNode) -> Optional[int]:
-            """The literal for ``n`` if derivable without new gates."""
-            if isinstance(n, BVar):
-                return n.var
-            if isinstance(n, BTrue):
-                return true_lit()
-            if isinstance(n, BFalse):
-                return -true_lit()
-            if isinstance(n, BNot):
-                # The builder collapses double negation, so this recursion
-                # is at most one level deep.
-                inner = known(n.arg)
-                return -inner if inner is not None else None
-            return cache.get(n)
-
+        literal = self._known_literal
         stack: list[BoolNode] = [node]
         while stack:
             current = stack[-1]
-            if known(current) is not None:
+            if literal(current) is not None:
                 stack.pop()
                 continue
             target = current.arg if isinstance(current, BNot) else current
             if not isinstance(target, (BAnd, BOr)):  # pragma: no cover
                 raise RelationalError(f"unknown boolean node: {target!r}")
-            pending = [arg for arg in target.args if known(arg) is None]
+            pending = [arg for arg in target.args if literal(arg) is None]
             if pending:
                 stack.extend(pending)
                 continue
-            arg_lits = [known(arg) for arg in target.args]
+            arg_lits = [literal(arg) for arg in target.args]
             fresh = cnf.new_var()
             if isinstance(target, BAnd):
                 for lit in arg_lits:
@@ -706,247 +631,80 @@ class _Compilation:
                     cnf.add_clause_trusted([-lit, fresh])
                 cnf.add_clause_trusted([-fresh] + arg_lits)
             cache[target] = fresh
-        result = known(node)
+        result = literal(node)
         assert result is not None
         return result
+
+    def _known_literal(self, node: BoolNode) -> Optional[int]:
+        """The literal for ``node`` if derivable without new gates.
+
+        A method, not a closure inside :meth:`_tseitin`: a nested function
+        that calls itself sits in a reference cycle that would keep the
+        Tseitin cache and the CNF alive until the cyclic collector ran."""
+        if isinstance(node, BVar):
+            return node.var
+        if isinstance(node, BNot):
+            # The builder collapses double negation, so this recursion is
+            # at most one level deep.
+            inner = self._known_literal(node.arg)
+            return -inner if inner is not None else None
+        if isinstance(node, (BTrue, BFalse)):
+            var = self._tseitin_cache.get(TRUE)
+            if var is None:
+                var = self.cnf.new_var()
+                self.cnf.add_clause_trusted([var])
+                self._tseitin_cache[TRUE] = var
+            return var if isinstance(node, BTrue) else -var
+        return self._tseitin_cache.get(node)
 
     # ------------------------------------------------------------------
     # Decoding
     # ------------------------------------------------------------------
     def decode(self, model: dict[int, bool]) -> Instance:
-        relations: dict[str, TupleSet] = {}
-        for name, bound in self.problem._bounds.items():
-            tuples = set(bound.lower)
-            matrix = self._rel_matrices[name]
-            for t, node in matrix.items():
-                if isinstance(node, BVar) and model.get(node.var, False):
-                    tuples.add(t)
-            relations[name] = TupleSet(bound.arity, tuples)
-        return Instance(self.problem.atoms, relations)
-
-
-class _CnfSlice:
-    """A read-only prefix view of a growing CNF — just enough of the
-    :class:`~repro.sat.Cnf` surface for :class:`~repro.sat.CdclSolver`
-    construction (``num_vars`` + ``clauses``)."""
-
-    __slots__ = ("num_vars", "clauses")
-
-    def __init__(self, num_vars: int, clauses) -> None:
-        self.num_vars = num_vars
-        self.clauses = clauses
+        relations = dict(self._decoded_template)
+        for name, arity, lower, entries in self._free_relations:
+            chosen = frozenset([t for var, t in entries if model[var]])
+            relations[name] = TupleSet._raw(
+                arity, (lower | chosen) if lower else chosen
+            )
+        return Instance._trusted(self.problem.atoms, relations)
 
 
 class ProblemSession:
-    """Incremental, assumption-scoped solving over one shared translation.
+    """One problem, translated once and enumerated on a cold solver.
 
-    The Kodkod-style trick behind Alloy's incremental workflows: the
-    problem's base constraints are translated to CNF **once**; every
-    selectable constraint group compiles (lazily, into the same live
-    CNF/Tseitin state) under a fresh *activation literal* ``a`` via the
-    implication clause ``¬a ∨ root(group)``.  A query then becomes
-    ``solve(assumptions)`` against one persistent :class:`CdclSolver`,
-    with assumptions asserting ``a`` for each selected group and ``¬a``
-    for every other registered group (so an unselected group can never be
-    spuriously activated by a decision).  Learned clauses, VSIDS
-    activities, saved phases, and watch lists all persist across queries.
-
-    Enumeration retracts cleanly: :meth:`iter_instances` allocates a
-    fresh *tag* variable, assumes it for the run, and — because
-    assumptions sit on decision levels — every in-place blocking clause
-    automatically carries ``¬tag``; retiring the tag with the unit clause
-    ``¬tag`` afterwards permanently satisfies all of them.
-
-    **The constraint-group contract**, in full:
-
-    * groups come from two places — :meth:`Problem.constrain` with
-      ``group=`` (declared before the session opens) and
-      :meth:`add_group` (registered on the session afterwards, e.g. a
-      memory model's predicate only known per query); a name may be used
-      by exactly one of the two, and a group is never empty;
-    * a group's formulas are compiled **lazily**, on the first query
-      selecting it, into the same live CNF/Tseitin state as the base
-      translation — unused groups cost nothing;
-    * every query (:meth:`solve`, :meth:`iter_instances`) asserts the
-      activation literal of each *selected* group and the **negation**
-      of every other group ever activated on this session, so a
-      previously compiled group can never leak into a query that did
-      not select it;
-    * queries are non-destructive: UNSAT under a selection, or an
-      enumeration abandoned mid-stream, leaves the session fully usable
-      (blocking clauses retract through the per-run tag);
-    * base constraints (``group=None``) always hold, in every query and
-      in :meth:`iter_base_instances`.
-
-    Two further guarantees matter to callers:
-
-    * :meth:`iter_base_instances` enumerates the *base* problem (no
-      groups) on a **cold** solver built over the shared compilation's
-      base-CNF prefix — clause-for-clause the formula
-      :meth:`Problem.iter_instances` would build, so the instance
-      sequence is bit-identical to the fresh path.  The synthesis
-      pipelines rely on this for byte-identical suites.
-    * the fresh path (:meth:`Problem.solve`/:meth:`Problem.iter_instances`
-      with ``groups=...``) hard-compiles the same selections and serves
-      as the differential oracle for this encoding.
+    Construction runs the translation; :meth:`iter_base_instances` then
+    enumerates its instances, so a caller can time the two stages apart
+    (the SAT witness backend records them as ``translate`` and ``solve``).
     """
 
     def __init__(self, problem: Problem) -> None:
         self.problem = problem
         self._compiled = _Compilation(problem)
-        cnf = self._compiled.cnf
-        self._base_num_vars = cnf.num_vars
-        self._base_num_clauses = cnf.num_clauses
-        self._solver: Optional[CdclSolver] = None
-        self._synced_clauses = 0
-        #: group name -> activation variable (insertion-ordered: the
-        #: assumption vector is rebuilt in this deterministic order).
-        self._activation: dict[str, int] = {}
-        #: groups registered directly on the session (on top of any
-        #: declared via Problem.constrain(..., group=...)).
-        self._dynamic_groups: dict[str, list[ast.Formula]] = {}
-        #: counters for the session layer (incremental solves, retained
-        #: learned clauses); the persistent solver's own counters are at
-        #: ``solver_stats``.
-        self.stats = SolverStats()
-        self.stats.translations += 1
-        self.stats.symmetry_clauses += self._compiled.symmetry_clauses
-
-    # -- group management ----------------------------------------------
-    def add_group(self, name: str, formulas: Iterable[ast.Formula]) -> None:
-        """Register a selectable constraint group on the session (for
-        constraints only known after problem construction, e.g. a memory
-        model's predicate)."""
-        if name in self._dynamic_groups or name in self.problem._group_constraints:
-            raise RelationalError(f"constraint group {name!r} already exists")
-        formulas = list(formulas)
-        if not formulas:
-            raise RelationalError(f"constraint group {name!r} is empty")
-        self._dynamic_groups[name] = formulas
-
-    def has_group(self, name: str) -> bool:
-        return (
-            name in self._dynamic_groups
-            or name in self.problem._group_constraints
-        )
-
-    def _formulas_of(self, name: str) -> list[ast.Formula]:
-        formulas = self._dynamic_groups.get(name)
-        if formulas is not None:
-            return formulas
-        return self.problem._group_formulas(name)
-
-    def _ensure_solver(self) -> CdclSolver:
-        if self._solver is None:
-            self._solver = CdclSolver(self._compiled.cnf)
-            self._synced_clauses = self._compiled.cnf.num_clauses
-        return self._solver
-
-    def _sync_clauses(self) -> None:
-        """Push CNF clauses emitted since the last sync into the live
-        solver (the "clause pushes between solves" of the session API)."""
-        solver = self._ensure_solver()
-        clauses = self._compiled.cnf.clauses
-        for index in range(self._synced_clauses, len(clauses)):
-            solver.add_clause(clauses[index])
-        self._synced_clauses = len(clauses)
-
-    def _activate(self, name: str) -> int:
-        var = self._activation.get(name)
-        if var is None:
-            formulas = self._formulas_of(name)
-            self._ensure_solver()
-            root = self._compiled.compile_root(formulas)
-            var = self._compiled.cnf.new_var()
-            self._compiled.cnf.add_clause_trusted([-var, root])
-            self._sync_clauses()
-            self._activation[name] = var
-        return var
-
-    def _assumptions(self, groups: Iterable[str]) -> list[int]:
-        selected = set()
-        for name in groups:
-            self._activate(name)
-            selected.add(name)
-        return [
-            var if name in selected else -var
-            for name, var in self._activation.items()
-        ]
-
-    def _note_query(self, solver: CdclSolver) -> None:
-        self.stats.incremental_solves += 1
-        self.stats.retained_learned_clauses += solver.learned_count
-
-    # -- queries --------------------------------------------------------
-    @property
-    def solver_stats(self) -> Optional[SolverStats]:
-        """Live counters of the persistent query solver (None before the
-        first query)."""
-        return self._solver.stats if self._solver is not None else None
-
-    def solve(self, groups: Iterable[str] = ()) -> Optional[Instance]:
-        """One satisfying instance under the selected groups, or None.
-        UNSAT under a selection leaves the session fully usable."""
-        assumptions = self._assumptions(groups)
-        solver = self._ensure_solver()
-        self._note_query(solver)
-        result = solver.solve(assumptions)
-        if not result:
-            return None
-        return self._compiled.decode(result.model)
-
-    def iter_instances(
-        self, groups: Iterable[str] = (), limit: Optional[int] = None
-    ) -> Iterator[Instance]:
-        """Enumerate instances under the selected groups, incrementally.
-
-        Blocking clauses carry this enumeration's fresh activation tag
-        (via the decision-literal blocking scheme), and the tag is retired
-        with a unit clause when the generator finishes or is closed — so
-        a later query, under any selection, sees none of them.
-        """
-        if limit is not None and limit <= 0:
-            return
-        assumptions = self._assumptions(groups)
-        solver = self._ensure_solver()
-        tag = self._compiled.cnf.new_var()
-        self._note_query(solver)
-        count = 0
-        try:
-            for model in solver.iter_solutions(
-                assumptions=[tag] + assumptions
-            ):
-                yield self._compiled.decode(model)
-                count += 1
-                if limit is not None and count >= limit:
-                    return
-        finally:
-            solver.add_clause([-tag])
 
     def iter_base_instances(
         self, limit: Optional[int] = None
     ) -> Iterator[Instance]:
-        """Enumerate the base problem (no groups) on a **cold** solver
-        over the shared compilation — bit-identical to the fresh
-        :meth:`Problem.iter_instances` sequence, without re-translating.
+        """Enumerate the problem's instances on a cold solver over the
+        compiled CNF; the order is deterministic (the CDCL search is), so
+        suite bytes do not depend on when or where a program is solved.
 
-        The session's persistent solver is not involved, so warm-solver
-        state can never perturb this enumeration's order (which suite
-        byte-determinism rests on); the shared translation is the whole
-        point.
+        Blocking clauses negate only the *decision literals* of each model:
+        every Tseitin auxiliary variable is fully defined (by equivalence
+        clauses) in terms of the tuple variables, so each assignment of the
+        declared relations extends to exactly one total model, and blocking
+        that model blocks exactly one instance — with a much shorter clause
+        than one spanning every tuple variable.
         """
         if limit is not None and limit <= 0:
             return
-        base = _CnfSlice(
-            self._base_num_vars,
-            self._compiled.cnf.clauses[: self._base_num_clauses],
-        )
-        solver = CdclSolver(base)  # type: ignore[arg-type]
-        solver.stats.symmetry_clauses = self._compiled.symmetry_clauses
+        compiled = self._compiled
+        solver = CdclSolver(compiled.cnf)
+        solver.stats.symmetry_clauses = compiled.symmetry_clauses
         self.problem.last_solver_stats = solver.stats
         count = 0
         for model in solver.iter_solutions():
-            yield self._compiled.decode(model)
+            yield compiled.decode(model)
             count += 1
             if limit is not None and count >= limit:
                 return

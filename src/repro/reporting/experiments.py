@@ -85,7 +85,6 @@ def fig9_sweep(
     max_bounds: Optional[Mapping[str, int]] = None,
     time_budget_per_run_s: Optional[float] = None,
     witness_backend: str = "explicit",
-    incremental: bool = True,
     symmetry: bool = True,
 ) -> SweepResult:
     """Run (or fetch from cache) the Fig 9 per-axiom bound sweep."""
@@ -95,7 +94,6 @@ def fig9_sweep(
         tuple(sorted(max_bounds.items())),
         time_budget_per_run_s,
         witness_backend,
-        incremental,
         symmetry,
     )
     if key in _SWEEP_CACHE:
@@ -108,7 +106,6 @@ def fig9_sweep(
             bound=max_bounds[axiom],
             model=x86t_elt(),
             witness_backend=witness_backend,
-            incremental=incremental,
             symmetry=symmetry,
         )
         partial = synthesize_sweep(

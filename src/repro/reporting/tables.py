@@ -42,9 +42,9 @@ def render_table(
 def render_sat_counters(stats) -> str:
     """The SAT backend's counter table for one run's
     :class:`~repro.synth.SuiteStats`: core (deterministic) solver
-    counters plus the incremental-session counters — how many programs
-    got a session, how many translations ran vs were served by session
-    reuse, and how much warm-solver state assumption queries retained."""
+    counters plus the session counters — how many programs got a
+    session, and how many translations ran vs were shared by the other
+    queries of a fused run."""
     rows = [
         ("decisions", stats.sat_decisions),
         ("propagations", stats.sat_propagations),
@@ -53,8 +53,6 @@ def render_sat_counters(stats) -> str:
         ("sessions opened", stats.sat_sessions),
         ("translations", stats.sat_translations),
         ("translations avoided", stats.sat_translations_avoided),
-        ("incremental solves", stats.sat_incremental_solves),
-        ("retained learned clauses", stats.sat_retained_learned_clauses),
     ]
     return render_table(["sat counter", "value"], rows)
 
@@ -81,11 +79,10 @@ def render_stage_profile(stats, runtime_s: float) -> str:
     Stage semantics: the stages are disjoint, so a serial run's stages
     add up to at most ``runtime_s``.  ``generate`` is time pulling
     programs from the ordered stream; ``translate`` / ``solve`` /
-    ``decode`` are the witness-session breakdown of candidate production
-    (recorded when the work actually runs — replays from the session
-    cache add nothing); ``enumerate`` is the rest of the time pulling
-    witnesses in the program loop (explicit enumeration, orbit pruning,
-    session replays — the session stages are subtracted from it);
+    ``decode`` are the SAT witness session's breakdown of candidate
+    production; ``enumerate`` is the rest of the time pulling witnesses
+    in the program loop (explicit enumeration, orbit pruning — the
+    session stages are subtracted from it);
     ``minimality`` is the §IV-B checks and ``classify`` the rest of
     consuming each witness (axiom verdicts, keys, representative
     selection).

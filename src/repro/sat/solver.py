@@ -82,22 +82,15 @@ class SolverStats:
     db_reductions: int = 0
     #: Learned clauses deleted by those reductions.
     deleted_clauses: int = 0
-    # ---- incremental-session counters (maintained by the session layers:
-    # :class:`repro.relational.translate.ProblemSession` and the witness
-    # session cache in :mod:`repro.synth.sat_backend`) ------------------
-    #: Persistent witness sessions opened (one per translated program).
+    # ---- witness-session counters (maintained by the SAT witness stream,
+    # :func:`repro.synth.engine.witness_stream_factory`) -----------------
+    #: Witness sessions opened (one per translated program).
     sessions: int = 0
     #: Relational-to-CNF translations performed.
     translations: int = 0
-    #: Queries served by a live session that a fresh-solver run would
-    #: have paid a full translation for.
+    #: Translations a fused run's other queries shared with its lead
+    #: query instead of running their own.
     translations_avoided: int = 0
-    #: Assumption-scoped solves/enumerations answered by a live session
-    #: (reusing its translation and accumulated solver state).
-    incremental_solves: int = 0
-    #: Learned clauses already present (and reused) at the start of each
-    #: incremental solve, summed over solves.
-    retained_learned_clauses: int = 0
     # ---- symmetry-breaking counters (maintained by the relational
     # translation, :mod:`repro.relational.translate`) --------------------
     #: Static lex-leader symmetry-breaking clauses emitted into the CNF
@@ -329,9 +322,9 @@ class CdclSolver:
 
     @property
     def learned_count(self) -> int:
-        """Learned clauses currently retained in the database (what an
-        incremental session reuses across queries; binary learned clauses
-        live in the binary watch lists and are not counted here)."""
+        """Learned clauses currently retained in the database (binary
+        learned clauses live in the binary watch lists and are not counted
+        here)."""
         return len(self._learned_crefs)
 
     def _reduce_db(self) -> None:
@@ -913,11 +906,12 @@ class CdclSolver:
         :meth:`solve`), and enumeration ends — leaving the solver usable —
         as soon as the formula is exhausted *under the assumptions*.
         Because assumption literals sit on decision levels, the default
-        blocking clauses automatically carry their negations, so an
-        incremental session that retires one assumption literal (e.g. a
-        fresh per-enumeration activation tag asserted false afterwards)
-        retracts every blocking clause of that enumeration in one unit
-        clause.
+        blocking clauses automatically carry their negations, so a caller
+        that retires one assumption literal (e.g. a fresh per-enumeration
+        activation tag asserted false afterwards) retracts every blocking
+        clause of that enumeration in one unit clause.  The synthesis
+        pipelines do not use assumptions: they enumerate each program
+        once, on a cold solver.
 
         The generator yields each model dict exactly once; the solver must
         not be used for other queries while enumeration is in progress.

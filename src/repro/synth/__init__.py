@@ -52,7 +52,7 @@ from .witnesses import enumerate_witnesses, enumerate_witnesses_constrained
 def __getattr__(name: str):
     """Lazy re-exports of the SAT witness backend, so the explicit path
     does not load the relational translator or the SAT solver."""
-    if name in ("WitnessSession", "WitnessSessionCache", "shared_session_cache"):
+    if name == "WitnessSession":
         from . import sat_backend
 
         return getattr(sat_backend, name)
@@ -84,8 +84,6 @@ __all__ = [
     "program_cost",
     "is_minimal",
     "WitnessSession",
-    "WitnessSessionCache",
-    "shared_session_cache",
     "relaxations",
     "relaxation_becomes_permitted",
     "relaxed_program",

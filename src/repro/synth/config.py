@@ -64,17 +64,6 @@ class SynthesisConfig:
     #: also populates the ``sat_*`` counters on :class:`SuiteStats`.  Both
     #: backends are deterministic and produce the same canonical suites.
     witness_backend: str = "explicit"
-    #: Incremental witness sessions (SAT backend): each program is
-    #: translated once into a persistent session whose witness list is
-    #: shared across axiom suites, sweep points, and diff pairs in the
-    #: same process (see :mod:`repro.synth.sat_backend`).  Output is
-    #: byte-identical either way — the session's full enumeration runs on
-    #: a cold solver over the shared translation — so this knob trades
-    #: nothing but serves as the differential oracle switch.  It selects
-    #: only the SAT witness sessions; the explicit backend ignores it.
-    #: Off: translate every program afresh per query (the fresh-solver
-    #: path).
-    incremental: bool = True
     #: Symmetry-aware enumeration (:mod:`repro.symmetry`): per-program
     #: automorphism groups quotient the witness stream (one orbit
     #: representative, orbit-size weights), the SAT backend emits static
@@ -82,9 +71,9 @@ class SynthesisConfig:
     #: duplicate isomorphic programs are skipped before translation
     #: (orbit-level dedup).  Canonical suites and conformance matrices
     #: are byte-identical either way — ``--no-symmetry`` (False) is the
-    #: differential oracle that runs the same pipelines unpruned.  Like
-    #: ``incremental``, this is an output-invariant execution strategy
-    #: and is excluded from suite-store cache identity.
+    #: differential oracle that runs the same pipelines unpruned.  It is
+    #: an output-invariant execution strategy and is excluded from
+    #: suite-store cache identity.
     symmetry: bool = True
 
     def __post_init__(self) -> None:

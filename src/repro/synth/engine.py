@@ -7,11 +7,9 @@ program/witness loop every enumerated workload runs.
    choices), with generation-time symmetry reduction;
 2. enumerate each program's candidate executions (witnesses) — through
    the backend selected by ``config.witness_backend``: the explicit
-   Python enumerator, or the relational SAT pipeline, which under
-   ``config.incremental`` (the default) translates each program **once**
-   into a process-cached witness session (:mod:`repro.synth.sat_backend`)
-   whose execution list is replayed across axiom suites, sweep points,
-   and diff pairs;
+   Python enumerator, or the relational SAT pipeline, which translates
+   each program once and enumerates it once
+   (:mod:`repro.synth.sat_backend`);
 3. prune to *interesting* executions: at least one write (enforced at the
    program level) that violate the targeted axiom;
 4. prune to *minimal* executions (every relaxation becomes permitted);
@@ -47,8 +45,8 @@ byte-identical suites.
 Representative selection is order-free: per class the program with the
 smallest identity rank wins, and its representative execution is its
 (canonical key, witness sort key)-minimal minimal candidate — so suite
-bytes are invariant across ``--jobs``, witness backends,
-``--fresh-solver``, and ``--no-symmetry``.  Order keys remain on each
+bytes are invariant across ``--jobs``, witness backends and
+``--no-symmetry``.  Order keys remain on each
 entry for reporting and deterministic merges.
 
 ``synthesize_sweep`` reproduces the paper's Fig 9 methodology: for each
@@ -146,15 +144,13 @@ class SuiteStats:
     sat_propagations: int = 0
     sat_conflicts: int = 0
     sat_learned_clauses: int = 0
-    # Incremental-session counters (witness_backend == "sat" with
-    # ``incremental`` on): how many sessions were opened, how many
-    # relational-to-CNF translations ran vs were avoided by session
-    # reuse, and how much warm-solver state assumption queries reused.
+    # Witness-session counters (witness_backend == "sat"): one session
+    # and one relational-to-CNF translation per enumerated program; a
+    # fused run credits them to its lead query and counts them as
+    # avoided on every other one (see :func:`run_queries`).
     sat_sessions: int = 0
     sat_translations: int = 0
     sat_translations_avoided: int = 0
-    sat_incremental_solves: int = 0
-    sat_retained_learned_clauses: int = 0
     # Symmetry counters (``config.symmetry``, :mod:`repro.symmetry`).
     # The witness-level counters above (executions/interesting and the
     # agreement buckets) are orbit-weighted, so they match the unpruned
@@ -200,8 +196,6 @@ class SuiteStats:
         "sat_sessions",
         "sat_translations",
         "sat_translations_avoided",
-        "sat_incremental_solves",
-        "sat_retained_learned_clauses",
         "symmetric_programs",
         "orbit_replays",
         "orbit_witnesses_pruned",
@@ -222,8 +216,8 @@ class SuiteStats:
 
     def absorb_solver(self, solver_stats) -> None:
         """Fold a :class:`~repro.sat.SolverStats` into the suite counters
-        (core search counters plus the incremental-session counters the
-        session layers maintain on the same object)."""
+        (core search counters plus the session counters the witness
+        stream maintains on the same object)."""
         self.sat_decisions += solver_stats.decisions
         self.sat_propagations += solver_stats.propagations
         self.sat_conflicts += solver_stats.conflicts
@@ -231,8 +225,6 @@ class SuiteStats:
         self.sat_sessions += solver_stats.sessions
         self.sat_translations += solver_stats.translations
         self.sat_translations_avoided += solver_stats.translations_avoided
-        self.sat_incremental_solves += solver_stats.incremental_solves
-        self.sat_retained_learned_clauses += solver_stats.retained_learned_clauses
         self.sat_symmetry_clauses += solver_stats.symmetry_clauses
 
 
@@ -282,43 +274,24 @@ def witness_stream_factory(config: SynthesisConfig, stage_times=None):
     :func:`run_queries` and the fuzz oracle (:mod:`repro.fuzz.oracle`),
     so every workload enumerates candidates identically.
 
-    With ``config.incremental`` (the default), the SAT backend routes
-    through the process-level :class:`~repro.synth.sat_backend.
-    WitnessSessionCache`: each program is translated once into a witness
-    session whose (byte-identical) weighted execution list is replayed
-    for every later suite or pair that reaches the same program.
-    ``stage_times``, when given a dict, receives per-stage wall time
-    (translate / solve / decode on the session path).
+    The SAT backend builds one :class:`~repro.synth.sat_backend.
+    WitnessSession` per program, reads its weighted execution list once
+    and drops it.  It counts one session and one translation per program
+    into ``sat_stats`` with the enumerating solver's counters, observes
+    the per-session ``sat.*`` histograms, and adds the translate / solve
+    / decode wall time to ``stage_times`` when that is a dict.
     """
     if config.witness_backend == "sat":
         from ..sat import SolverStats
+        from .sat_backend import WitnessSession
 
         sat_stats = SolverStats()
-        if config.incremental:
-            from .sat_backend import shared_session_cache
 
-            cache = shared_session_cache()
-
-            def witness_stream(program: Program, sym=None):
-                return cache.weighted_witnesses(
-                    program,
-                    symmetry=sym,
-                    sink=sat_stats,
-                    stage_times=stage_times,
-                )
-
-        else:
-            from .sat_backend import enumerate_witnesses_sat
-
-            def witness_stream(program: Program, sym=None):
-                autos = sym.automorphisms if sym is not None and sym.prunable else ()
-                return prune_weighted(
-                    program,
-                    autos,
-                    enumerate_witnesses_sat(
-                        program, stats=sat_stats, symmetry=sym
-                    ),
-                )
+        def witness_stream(program: Program, sym=None):
+            session = WitnessSession(program, symmetry=sym)
+            witnesses = session.weighted_witnesses()
+            _record_session(session, len(witnesses), sat_stats, stage_times)
+            return witnesses
 
         return witness_stream, sat_stats
 
@@ -329,6 +302,29 @@ def witness_stream_factory(config: SynthesisConfig, stage_times=None):
         return prune_weighted(program, autos, enumerate_witnesses(program))
 
     return explicit_stream, None
+
+
+def _record_session(session, witnesses: int, sat_stats, stage_times) -> None:
+    """Credit one finished witness session to the run's SAT counters,
+    histograms and stage times."""
+    sat_stats.sessions += 1
+    sat_stats.translations += 1
+    snapshot = session.enum_stats
+    sat_stats.merge(snapshot)
+    registry = current_registry()
+    if registry:
+        registry.observe("sat.conflicts_per_burst", snapshot.conflicts)
+        registry.observe("sat.restarts_per_burst", snapshot.restarts)
+        registry.observe("sat.learned_clauses_per_burst", snapshot.learned_clauses)
+        registry.observe("sat.decisions_per_burst", snapshot.decisions)
+        registry.observe("sat.witnesses_per_session", witnesses)
+    if stage_times is not None:
+        for stage, seconds in (
+            ("translate", session.translate_s),
+            ("solve", session.solve_s),
+            ("decode", session.decode_s),
+        ):
+            stage_times[stage] = stage_times.get(stage, 0.0) + seconds
 
 
 class ForbiddenQuery:

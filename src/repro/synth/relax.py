@@ -368,8 +368,8 @@ def _violation_atoms(
 
 def model_fingerprint(model: MemoryModel) -> tuple:
     """Semantic identity of a model for memos keyed by model (the
-    per-pass minimality memos, the diff model table, the SAT session's
-    selections): its name plus each axiom's (name, predicate-function)
+    per-pass minimality memos and the diff model table): its name plus
+    each axiom's (name, predicate-function)
     pair.  Catalog models are built from shared module-level
     :class:`~repro.models.Axiom` constants, so re-instantiating one
     yields the same fingerprint.  The predicate *objects* (not their

@@ -24,60 +24,32 @@ The test suite checks this enumerator agrees exactly with the explicit
 Python enumerator (:mod:`repro.synth.witnesses`) — the reproduction's
 deepest cross-validation.
 
-Incremental witness sessions
-----------------------------
+Witness sessions
+----------------
 
-The synthesis and conformance pipelines ask many closely related
-questions about the *same* program — "enumerate its candidate
-executions", "is any permitted under x86t?", "does any violate axiom A?",
-"is any forbidden by the reference but permitted by the subject?".  A
-:class:`WitnessSession` answers all of them from **one** relational
-translation:
-
-* the placement constraints compile once, into a shared
-  :class:`~repro.relational.ProblemSession`;
-* every model/axiom constraint is registered as a *constraint group* and
-  compiled (lazily, into the same live CNF) under a fresh **activation
-  literal** ``a`` via the implication ``¬a ∨ root``; a query is then one
-  ``solve(assumptions)`` against the session's persistent CDCL solver,
-  asserting ``a`` for each selected group and ``¬a`` for the rest, so
-  learned clauses, VSIDS scores, and watch lists carry over between
-  queries;
-* assumption-scoped enumerations allocate a per-run *tag* assumption;
-  their in-place blocking clauses carry ``¬tag`` (assumptions sit on
-  decision levels, and blocking negates the decision literals), so
-  retiring the tag with the unit ``¬tag`` afterwards **retracts** every
-  blocking clause of that run — the retraction rule that keeps the
-  persistent solver reusable;
-* the one *full* witness enumeration each pipeline needs is served by a
-  cold solver over the shared compilation's base-CNF prefix
-  (:meth:`~repro.relational.ProblemSession.iter_base_instances`), so its
-  execution stream — and therefore every synthesized suite's bytes — is
-  bit-identical to the fresh-solver path, and its result is cached on
-  the session for replay by later suites and model pairs.
-
-:class:`WitnessSessionCache` shares sessions per program across
-``synthesize`` axiom suites, ``sweep`` runs, and ``diff`` pairs within a
-process; ``SynthesisConfig.incremental`` (default on) routes the engine
-through it, with the fresh path kept as the differential oracle.
+The pipelines need one thing per program: its full candidate-execution
+list.  A :class:`WitnessSession` translates the program once and
+enumerates it once, on a cold solver
+(:meth:`~repro.relational.ProblemSession.iter_base_instances`), timing
+the translate, solve and decode stages apart.  The engine
+(:func:`repro.synth.engine.witness_stream_factory`) builds one per
+program, reads :meth:`WitnessSession.weighted_witnesses` once and drops
+the session, so nothing a program needed outlives it.
 """
 
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from typing import Iterator, Optional
 
-from ..errors import SynthesisError
 from ..models import MemoryModel
-from ..obs import current_registry, current_tracer
+from ..obs import current_tracer
 from ..sat import SolverStats
 from ..symmetry import (
     ProgramSymmetry,
     witness_orbit,
     witness_relation_permutation,
 )
-from .relax import model_fingerprint
 from ..mtm import EventKind, Execution, Program, names
 from ..mtm.execution import derive_rf_ptw
 from ..relational import (
@@ -450,7 +422,7 @@ class WitnessProblem:
         (None before enumeration starts)."""
         return self.problem.last_solver_stats
 
-    def executions(self, limit: Optional[int] = None) -> Iterator[Execution]:
+    def executions(self) -> Iterator[Execution]:
         """Decode SAT instances back into Execution objects.
 
         Enumeration order is deterministic: the CDCL search is fully
@@ -466,8 +438,6 @@ class WitnessProblem:
             seen.add(witness)
             rf, co, co_pa = witness
             yield Execution(self.program, rf=rf, co=co, co_pa=co_pa)
-            if limit is not None and len(seen) >= limit:
-                return
 
     def _decode(self, instance: Instance) -> tuple:
         rf = frozenset(
@@ -479,44 +449,14 @@ class WitnessProblem:
         return (rf, co, co_pa)
 
 
-def program_identity_key(program: Program) -> tuple:
-    """An exact structural identity for a program (NOT the canonical
-    class key: isomorphic programs with different event ids have
-    different witness streams and must not share sessions)."""
-    return (
-        tuple(
-            sorted(
-                (e.eid, e.kind.value, e.core, e.va, e.pa)
-                for e in program.events.values()
-            )
-        ),
-        program.threads,
-        tuple(sorted(program.ghosts.items())),
-        tuple(sorted(program.remap)),
-        tuple(sorted(program.rmw)),
-        tuple(sorted(program.initial_map.items())),
-        program.mcm_mode,
-    )
-
-
 class WitnessSession:
-    """One program's witness space, translated once and queried many times.
+    """One program's witness space, translated once and enumerated once.
 
-    See the module docstring for the encoding.  The session serves two
-    kinds of work:
-
-    * :meth:`witnesses` — the full candidate-execution list (what the
-      pipelines consume), enumerated once on a cold solver over the
-      shared compilation (bit-identical to the fresh path) and cached;
-    * assumption-scoped queries (:meth:`has_witness`,
-      :meth:`query_executions`, :meth:`has_discriminating_witness`) —
-      model/axiom constraints as activation-literal groups against the
-      persistent solver.
-
-    ``stats`` carries the session-layer counters (`sessions`,
-    `translations`, `incremental_solves`, `retained_learned_clauses`);
-    ``enum_stats`` snapshots the full enumeration's solver counters for
-    cache-warmth-independent reporting.
+    See the module docstring for the encoding.  The translation runs on
+    first use (:meth:`_ensure_psession`); :meth:`weighted_witnesses`
+    enumerates and decodes it.  ``translate_s``, ``solve_s`` and
+    ``decode_s`` time the three stages, and ``enum_stats`` holds the
+    enumerating solver's counters once the enumeration has run.
     """
 
     def __init__(
@@ -526,404 +466,90 @@ class WitnessSession:
         self.symmetry = (
             symmetry if symmetry is not None and symmetry.prunable else None
         )
-        started = time.perf_counter()
-        with current_tracer().span(
-            "translate", category="sat", events=len(program.events)
-        ):
-            self.problem: Optional[WitnessProblem] = WitnessProblem(
-                program, symmetry=self.symmetry
-            )
-            self._psession = self.problem.problem.session()
-        self.translate_s = time.perf_counter() - started
-        self.stats = SolverStats()
-        self.stats.sessions = 1
-        self.stats.translations = 1
-        #: Cached ``(execution, orbit weight)`` pairs, in enumeration order.
-        self._witnesses: Optional[list[tuple[Execution, int]]] = None
-        #: Cached unweighted view of the same list (:meth:`witnesses`).
-        self._plain_witnesses: Optional[list[Execution]] = None
-        #: model/axiom fingerprint -> registered group name.
-        self._groups: dict[tuple, str] = {}
-        #: Counter snapshot of the (cold) full-enumeration solver, kept
-        #: so replays report the work the enumeration *represents*.
+        self.problem: Optional[WitnessProblem] = None
+        self._psession = None
         self.enum_stats: Optional[SolverStats] = None
+        self.translate_s = 0.0
         self.solve_s = 0.0
         self.decode_s = 0.0
 
-    # -- the full enumeration (pipeline path) ---------------------------
-    def weighted_witnesses(self) -> list[tuple[Execution, int]]:
-        """The program's deduplicated candidate executions with their
-        orbit weights, in the exact order the fresh-solver path yields
-        them; enumerated once, then replayed from cache.
-
-        Without symmetry every weight is 1.  With it, the lex-leader
-        clauses already keep the enumeration to orbit representatives;
-        the decode-side orbit check re-verifies that and attaches each
-        representative's exact orbit size, so weighted counters
-        reproduce the unpruned enumeration's totals.  ``enum_stats``
-        snapshots the enumerating solver's counters — replays re-report
-        the same snapshot, so the deterministic counter totals of a run
-        are identical whether its witnesses came from live solving or
-        from cache."""
-        if self._witnesses is None:
-            tracer = current_tracer()
-            span = tracer.begin("enumerate", category="sat") if tracer else None
-            try:
-                psession = self._ensure_psession()
-                decode = self.problem._decode
-                program = self.program
-                autos = (
-                    self.symmetry.automorphisms
-                    if self.symmetry is not None
-                    else ()
-                )
-                seen: set[tuple] = set()
-                out: list[tuple[Execution, int]] = []
-                iterator = psession.iter_base_instances()
-                clock = time.perf_counter
-                while True:
-                    started = clock()
-                    instance = next(iterator, None)
-                    self.solve_s += clock() - started
-                    if instance is None:
-                        break
-                    started = clock()
-                    witness = decode(instance)
-                    if witness not in seen:
-                        seen.add(witness)
-                        rf, co, co_pa = witness
-                        weight = 1
-                        keep = True
-                        if autos:
-                            weight, keep = witness_orbit(
-                                program, autos, rf, co, co_pa
-                            )
-                        if keep:
-                            out.append(
-                                (
-                                    Execution(program, rf=rf, co=co, co_pa=co_pa),
-                                    weight,
-                                )
-                            )
-                    self.decode_s += clock() - started
-                self._witnesses = out
-                self.enum_stats = self.problem.problem.last_solver_stats
-                if span is not None:
-                    span.args["witnesses"] = len(out)
-                    if self.enum_stats is not None:
-                        span.args["conflicts"] = self.enum_stats.conflicts
-            finally:
-                tracer.end(span)
-        return self._witnesses
-
-    def witnesses(self) -> list[Execution]:
-        """The execution list alone (weights dropped) — the historical
-        surface, unchanged for sessions built without symmetry.  The
-        list is cached alongside the weighted one, so replays hand back
-        the very same object."""
-        if self._plain_witnesses is None:
-            self._plain_witnesses = [
-                execution for execution, _ in self.weighted_witnesses()
-            ]
-        return self._plain_witnesses
-
-    def release_problem(self) -> None:
-        """Drop the translation and solver, keeping the cached witness
-        list (the memory-lean state the pipeline cache puts sessions in
-        once their enumeration is done).  A later query transparently
-        re-translates — and counts the translation."""
-        self.problem = None
-        self._psession = None
-        self._groups = {}
-
     def _ensure_psession(self):
+        """The translated problem, built on the first call."""
         if self._psession is None:
             started = time.perf_counter()
             with current_tracer().span(
-                "translate", category="sat", retranslation=True
+                "translate", category="sat", events=len(self.program.events)
             ):
                 self.problem = WitnessProblem(
                     self.program, symmetry=self.symmetry
                 )
                 self._psession = self.problem.problem.session()
             self.translate_s += time.perf_counter() - started
-            self.stats.translations += 1
         return self._psession
 
-    # -- constraint groups ----------------------------------------------
-    def _group_for(
-        self,
-        model: MemoryModel,
-        violated_axiom: Optional[str] = None,
-        violated: bool = False,
-    ) -> str:
-        """The group name encoding one model/axiom constraint, registering
-        (and lazily compiling) it on first use."""
-        psession = self._ensure_psession()
-        if violated_axiom is not None:
-            key = ("axiom", model_fingerprint(model), violated_axiom)
-            formula = Not(model.axiom(violated_axiom).formula())
-        elif violated:
-            key = ("model-violated", model_fingerprint(model))
-            formula = Not(model.formula())
-        else:
-            key = ("model-holds", model_fingerprint(model))
-            formula = model.formula()
-        name = self._groups.get(key)
-        if name is None:
-            name = f"g{len(self._groups)}:{key[0]}:{model.name}" + (
-                f":{violated_axiom}" if violated_axiom is not None else ""
+    def weighted_witnesses(self) -> list[tuple[Execution, int]]:
+        """The program's deduplicated candidate executions with their
+        orbit weights, in the solver's deterministic order.
+
+        Without symmetry every weight is 1.  With it, the lex-leader
+        clauses already keep the enumeration to orbit representatives;
+        the decode-side orbit check re-verifies that and attaches each
+        representative's exact orbit size, so weighted counters
+        reproduce the unpruned enumeration's totals."""
+        tracer = current_tracer()
+        span = tracer.begin("enumerate", category="sat") if tracer else None
+        try:
+            psession = self._ensure_psession()
+            decode = self.problem._decode
+            program = self.program
+            autos = (
+                self.symmetry.automorphisms
+                if self.symmetry is not None
+                else ()
             )
-            psession.add_group(name, [formula])
-            self._groups[key] = name
-        return name
-
-    def _note_query(self) -> None:
-        psession = self._ensure_psession()
-        self.stats.incremental_solves += 1
-        solver_stats = psession.solver_stats
-        if solver_stats is not None and psession._solver is not None:
-            self.stats.retained_learned_clauses += psession._solver.learned_count
-
-    # -- assumption-scoped queries --------------------------------------
-    def _selection(
-        self,
-        model: Optional[MemoryModel],
-        violated_axiom: Optional[str],
-        violated: bool,
-    ) -> list[str]:
-        if model is None:
-            if violated_axiom is not None or violated:
-                raise SynthesisError(
-                    "violated_axiom/violated need a model to apply to"
-                )
-            return []
-        return [self._group_for(model, violated_axiom, violated)]
-
-    def has_witness(
-        self,
-        model: Optional[MemoryModel] = None,
-        violated_axiom: Optional[str] = None,
-        violated: bool = False,
-    ) -> bool:
-        """Does any candidate execution satisfy the selection?  (`model`
-        alone: permitted by it — or forbidden, with ``violated=True``;
-        `model` + `violated_axiom`: violates that axiom.)  One incremental
-        solve."""
-        groups = self._selection(model, violated_axiom, violated)
-        self._note_query()
-        return self._ensure_psession().solve(groups=groups) is not None
-
-    def has_discriminating_witness(
-        self, reference: MemoryModel, subject: MemoryModel
-    ) -> bool:
-        """Does any candidate execution witness ``reference`` forbidding
-        what ``subject`` permits?  One incremental solve under two
-        activation literals."""
-        groups = [
-            self._group_for(reference, violated=True),
-            self._group_for(subject, violated=False),
-        ]
-        self._note_query()
-        return self._ensure_psession().solve(groups=groups) is not None
-
-    def query_executions(
-        self,
-        model: Optional[MemoryModel] = None,
-        violated_axiom: Optional[str] = None,
-        violated: bool = False,
-        limit: Optional[int] = None,
-    ) -> list[Execution]:
-        """Decode the executions satisfying the selection, via an
-        assumption-scoped enumeration whose blocking clauses retract when
-        it finishes (the session stays reusable)."""
-        groups = self._selection(model, violated_axiom, violated)
-        psession = self._ensure_psession()
-        self._note_query()
-        decode = self.problem._decode
-        seen: set[tuple] = set()
-        out: list[Execution] = []
-        for instance in psession.iter_instances(groups=groups):
-            witness = decode(instance)
-            if witness in seen:
-                continue
-            seen.add(witness)
-            rf, co, co_pa = witness
-            out.append(Execution(self.program, rf=rf, co=co, co_pa=co_pa))
-            if limit is not None and len(out) >= limit:
-                break
+            seen: set[tuple] = set()
+            out: list[tuple[Execution, int]] = []
+            iterator = psession.iter_base_instances()
+            clock = time.perf_counter
+            while True:
+                started = clock()
+                instance = next(iterator, None)
+                self.solve_s += clock() - started
+                if instance is None:
+                    break
+                started = clock()
+                witness = decode(instance)
+                if witness not in seen:
+                    seen.add(witness)
+                    rf, co, co_pa = witness
+                    weight = 1
+                    keep = True
+                    if autos:
+                        weight, keep = witness_orbit(
+                            program, autos, rf, co, co_pa
+                        )
+                    if keep:
+                        out.append(
+                            (
+                                Execution(program, rf=rf, co=co, co_pa=co_pa),
+                                weight,
+                            )
+                        )
+                self.decode_s += clock() - started
+            self.enum_stats = self.problem.problem.last_solver_stats
+            if span is not None:
+                span.args["witnesses"] = len(out)
+                if self.enum_stats is not None:
+                    span.args["conflicts"] = self.enum_stats.conflicts
+        finally:
+            tracer.end(span)
         return out
-
-
-#: Default capacity of the process-level session cache (entries are
-#: post-enumeration sessions, i.e. a program plus its witness list).
-DEFAULT_SESSION_CACHE_SIZE = 4096
-
-
-class WitnessSessionCache:
-    """Process-local LRU of :class:`WitnessSession` per exact program.
-
-    This is what lets one translation serve many suites: consecutive
-    per-axiom synthesize runs, sweep points, and diff pairs in the same
-    process all map a given program to the same session (and therefore
-    the same cached witness list).  With ``keep_problems=False`` (the
-    default) a session is shrunk to its witness list once the pipeline's
-    full enumeration completes — the compiled CNF and solver of a
-    queried-again program are rebuilt transparently.
-    """
-
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_SESSION_CACHE_SIZE,
-        keep_problems: bool = False,
-    ) -> None:
-        if max_entries < 1:
-            raise SynthesisError(
-                f"session cache needs a positive capacity, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.keep_problems = keep_problems
-        self._entries: "OrderedDict[tuple, WitnessSession]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(
-        self,
-        program: Program,
-        symmetry: Optional[ProgramSymmetry] = None,
-    ) -> tuple[WitnessSession, bool]:
-        """The session for ``program`` plus whether it was already cached.
-
-        Sessions built with an applied symmetry carry different CNF (the
-        lex-leader clauses) and a pruned witness list, so the cache keys
-        on the pruning bit alongside the exact program identity."""
-        prunable = symmetry is not None and symmetry.prunable
-        key = (program_identity_key(program), prunable)
-        session = self._entries.get(key)
-        if session is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return session, True
-        session = WitnessSession(program, symmetry=symmetry)
-        self._entries[key] = session
-        self.misses += 1
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-        return session, False
-
-    def weighted_witnesses(
-        self,
-        program: Program,
-        symmetry: Optional[ProgramSymmetry] = None,
-        sink: Optional[SolverStats] = None,
-        stage_times: Optional[dict] = None,
-    ) -> list[tuple[Execution, int]]:
-        """The pipeline entry point: cached ``(execution, orbit weight)``
-        list for ``program``, with session counters and solver counters
-        folded into ``sink``.  The solver counters merged are the
-        enumeration's *snapshot* — identical whether this call solved or
-        replayed, so a run's deterministic counter totals never depend on
-        cache warmth (the translations/avoided counters record the
-        actual reuse).  ``stage_times`` receives the translate / solve /
-        decode wall-time breakdown of work actually performed by this
-        call (replays add nothing)."""
-        session = self._serve(program, symmetry, sink, stage_times)
-        return session.weighted_witnesses()
-
-    def witnesses(
-        self,
-        program: Program,
-        sink: Optional[SolverStats] = None,
-        stage_times: Optional[dict] = None,
-    ) -> list[Execution]:
-        """Unweighted, symmetry-free variant of
-        :meth:`weighted_witnesses` (the historical surface); replays
-        hand back the very same list object."""
-        session = self._serve(program, None, sink, stage_times)
-        return session.witnesses()
-
-    def _serve(
-        self,
-        program: Program,
-        symmetry: Optional[ProgramSymmetry],
-        sink: Optional[SolverStats],
-        stage_times: Optional[dict],
-    ) -> WitnessSession:
-        session, cached = self.get(program, symmetry=symmetry)
-        if sink is not None:
-            if cached:
-                sink.translations_avoided += 1
-            else:
-                sink.sessions += 1
-                sink.translations += 1
-        fresh = session._witnesses is None
-        session.weighted_witnesses()
-        if sink is not None and session.enum_stats is not None:
-            sink.merge(session.enum_stats)
-        registry = current_registry()
-        if registry:
-            # Histograms follow the snapshot-replay convention the solver
-            # counters use: every serve (live or cached) observes the
-            # enumeration's snapshot, so the distributions are invariant
-            # across --jobs and cache warmth.  The hit/miss counters are
-            # the process-shaped remainder — informational by definition.
-            registry.inc(
-                "cache.session_hits" if cached else "cache.session_misses",
-                informational=True,
-            )
-            snapshot = session.enum_stats
-            if snapshot is not None:
-                registry.observe("sat.conflicts_per_burst", snapshot.conflicts)
-                registry.observe("sat.restarts_per_burst", snapshot.restarts)
-                registry.observe(
-                    "sat.learned_clauses_per_burst", snapshot.learned_clauses
-                )
-                registry.observe("sat.decisions_per_burst", snapshot.decisions)
-            registry.observe(
-                "sat.witnesses_per_session", len(session._witnesses or ())
-            )
-        if stage_times is not None:
-            if not cached:
-                stage_times["translate"] = (
-                    stage_times.get("translate", 0.0) + session.translate_s
-                )
-            if fresh:
-                stage_times["solve"] = (
-                    stage_times.get("solve", 0.0) + session.solve_s
-                )
-                stage_times["decode"] = (
-                    stage_times.get("decode", 0.0) + session.decode_s
-                )
-        if fresh and not self.keep_problems:
-            session.release_problem()
-        return session
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-
-
-_SHARED_SESSION_CACHE: Optional[WitnessSessionCache] = None
-
-
-def shared_session_cache() -> WitnessSessionCache:
-    """The per-process session cache the engine's incremental path uses."""
-    global _SHARED_SESSION_CACHE
-    if _SHARED_SESSION_CACHE is None:
-        _SHARED_SESSION_CACHE = WitnessSessionCache()
-    return _SHARED_SESSION_CACHE
 
 
 def enumerate_witnesses_sat(
     program: Program,
     model: Optional[MemoryModel] = None,
     violated_axiom: Optional[str] = None,
-    limit: Optional[int] = None,
-    stats=None,
     problem: Optional[WitnessProblem] = None,
     symmetry: Optional[ProgramSymmetry] = None,
 ) -> Iterator[Execution]:
@@ -939,11 +565,6 @@ def enumerate_witnesses_sat(
     Ignored when a prebuilt ``problem`` is supplied (its construction
     already decided).
 
-    ``stats``, when given a :class:`~repro.sat.SolverStats`, accumulates
-    this enumeration's solver counters into it (merged when the generator
-    finishes or is closed) — how the synthesis engine aggregates SAT work
-    across every program of a run.
-
     ``problem`` supplies a prebuilt :class:`WitnessProblem` for the same
     program, for callers that need both the encoding object (bounds
     inspection, solver stats) and its enumeration without translating
@@ -951,13 +572,11 @@ def enumerate_witnesses_sat(
     previous model query (constraints accumulate on the underlying
     :class:`~repro.relational.Problem`).
 
-    Note the differential pipeline (:mod:`repro.conformance`) does not
-    need this hook: it shares the translation between the two models by
-    posing a *single* unconstrained query per program and classifying
-    the decoded witnesses concretely, so each program is translated and
-    solved once — already within its "at most twice" budget.
+    The synthesis pipelines do not call this: they enumerate each
+    program once, unconstrained, through a :class:`WitnessSession` and
+    classify the decoded witnesses concretely.  This constrained entry
+    is the reference the tests compare that stream with.
     """
-    translated = problem is None
     encoded = (
         problem
         if problem is not None
@@ -967,11 +586,4 @@ def enumerate_witnesses_sat(
         encoded.constrain_axiom_violated(model, violated_axiom)
     elif model is not None:
         encoded.constrain_model(model, violated=False)
-    try:
-        yield from encoded.executions(limit=limit)
-    finally:
-        if stats is not None:
-            if translated:
-                stats.translations += 1
-            if encoded.solver_stats is not None:
-                stats.merge(encoded.solver_stats)
+    yield from encoded.executions()

@@ -158,49 +158,57 @@ def enumerate_skeletons(
     config: SynthesisConfig, num_threads: int
 ) -> Iterator[Skeleton]:
     """Yield base skeletons (per-thread spec sequences) within budget."""
-    # The legal specs, their costs and the VA count after each depend
-    # only on how many VAs are in use: build each list once.
-    candidates: dict[int, list[tuple[Spec, int, int]]] = {}
-
-    def candidates_at(used_vas: int) -> list[tuple[Spec, int, int]]:
-        found = candidates.get(used_vas)
-        if found is None:
-            found = candidates[used_vas] = [
-                (
-                    spec,
-                    _spec_cost(spec, config, num_threads),
-                    max(used_vas, spec.va + 1),
-                )
-                for spec in _candidate_specs(config, used_vas, num_threads)
-            ]
-        return found
-
-    def extend(
-        threads: list[list[Spec]],
-        thread_index: int,
-        used_vas: int,
-        base_cost: int,
-    ) -> Iterator[Skeleton]:
-        walks = 0 if config.mcm_mode else _min_extra_walks(threads)
-        if base_cost + walks > config.bound:
-            return
-        current = threads[thread_index]
-        complete_here = bool(current) and _spurious_invlpgs_effective(current)
-        if complete_here:
-            if thread_index + 1 == num_threads:
-                if _has_write(threads):
-                    yield tuple(tuple(t) for t in threads)
-            else:
-                yield from extend(threads, thread_index + 1, used_vas, base_cost)
-        for spec, cost, new_used in candidates_at(used_vas):
-            if base_cost + cost + walks > config.bound:
-                continue
-            current.append(spec)
-            yield from extend(threads, thread_index, new_used, base_cost + cost)
-            current.pop()
-
     threads: list[list[Spec]] = [[] for _ in range(num_threads)]
-    yield from extend(threads, 0, 0, 0)
+    # The legal specs, their costs and the VA count after each depend
+    # only on how many VAs are in use: each list is built once, on first
+    # use, into ``candidates``.
+    yield from _extend_skeleton(config, threads, {}, 0, 0, 0)
+
+
+def _extend_skeleton(
+    config: SynthesisConfig,
+    threads: list[list[Spec]],
+    candidates: dict[int, list[tuple[Spec, int, int]]],
+    thread_index: int,
+    used_vas: int,
+    base_cost: int,
+) -> Iterator[Skeleton]:
+    """Every completion of the partial skeleton ``threads``, in
+    generation order.  A module-level generator, not a closure inside
+    :func:`enumerate_skeletons`: a nested function that calls itself
+    would sit in a reference cycle holding the specs and the config."""
+    walks = 0 if config.mcm_mode else _min_extra_walks(threads)
+    if base_cost + walks > config.bound:
+        return
+    num_threads = len(threads)
+    current = threads[thread_index]
+    complete_here = bool(current) and _spurious_invlpgs_effective(current)
+    if complete_here:
+        if thread_index + 1 == num_threads:
+            if _has_write(threads):
+                yield tuple(tuple(t) for t in threads)
+        else:
+            yield from _extend_skeleton(
+                config, threads, candidates, thread_index + 1, used_vas, base_cost
+            )
+    found = candidates.get(used_vas)
+    if found is None:
+        found = candidates[used_vas] = [
+            (
+                spec,
+                _spec_cost(spec, config, num_threads),
+                max(used_vas, spec.va + 1),
+            )
+            for spec in _candidate_specs(config, used_vas, num_threads)
+        ]
+    for spec, cost, new_used in found:
+        if base_cost + cost + walks > config.bound:
+            continue
+        current.append(spec)
+        yield from _extend_skeleton(
+            config, threads, candidates, thread_index, new_used, base_cost + cost
+        )
+        current.pop()
 
 
 def indexed_skeletons(config: SynthesisConfig) -> Iterator[IndexedSkeleton]:

@@ -32,9 +32,9 @@ and each co_pa choice once per program.
 
 This module is the *explicit* backend of the engine's witness streams
 (:func:`repro.synth.engine.witness_stream_factory`); the SAT backend's
-incremental witness sessions (:mod:`repro.synth.sat_backend`) enumerate
-the same streams through the relational pipeline, translated once per
-program and replayed from cache.  Both backends feed the same consumers:
+witness sessions (:mod:`repro.synth.sat_backend`) enumerate the same
+streams through the relational pipeline, translating and enumerating
+each program once.  Both backends feed the same consumers:
 under either one, the program loop
 (:func:`repro.synth.engine.run_queries`) iterates a program's witnesses
 once for every query in flight — one per model pair in a fused

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 PTWALK2_ELT = """\
@@ -46,6 +52,30 @@ class TestSynthesizeCommand:
     def test_symmetry_counters_shown_by_default(self, capsys) -> None:
         assert main(["synthesize", "--bound", "4", "--axiom", "invlpg"]) == 0
         assert "symmetry counter" in capsys.readouterr().out
+
+    def test_fresh_solver_is_accepted_hidden_and_ignored(
+        self, capsys, tmp_path
+    ) -> None:
+        """Every program is translated and solved afresh, so the retired
+        --fresh-solver switch changes nothing; it still parses, for
+        scripts that pass it, but --help no longer offers it."""
+        base = [
+            "synthesize",
+            "--bound",
+            "4",
+            "--axiom",
+            "invlpg",
+            "--witness-backend",
+            "sat",
+        ]
+        plain, fresh = tmp_path / "plain.elts", tmp_path / "fresh.elts"
+        assert main(base + ["--save", str(plain)]) == 0
+        assert main(base + ["--fresh-solver", "--save", str(fresh)]) == 0
+        assert fresh.read_bytes() == plain.read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["synthesize", "--help"])
+        assert "--fresh-solver" not in capsys.readouterr().out
 
     def test_no_symmetry_oracle_matches_default(self, capsys, tmp_path) -> None:
         """--no-symmetry hides the counter table and writes identical
@@ -369,3 +399,33 @@ class TestWholeResultCache:
         assert f"{flag}=False" in healed_out
         assert (cache / "quarantine" / payload.name).exists()
         assert f"{flag}=True" in run("again.elts")[1]
+
+
+def test_closed_stdout_exits_141_without_a_traceback() -> None:
+    """``diff --all-pairs --json | head -1``: the reader takes one line
+    and leaves.  The CLI stops quietly with 141 (128 + SIGPIPE), not
+    with a traceback and exit 1, which would mean "discriminating tests
+    exist"."""
+    import fcntl
+
+    read_fd, write_fd = os.pipe()
+    # A one-page pipe: the document (about 13 KB) fits neither in it nor
+    # in it plus the one read below, so the CLI is still writing when the
+    # reader leaves, however the two processes are scheduled.  (1031 is
+    # Linux's F_SETPIPE_SZ; the fcntl module names it from Python 3.10.)
+    fcntl.fcntl(write_fd, getattr(fcntl, "F_SETPIPE_SZ", 1031), 4096)
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "diff", "--all-pairs"]
+        + ["--bound", "4", "--json"],
+        stdout=write_fd,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as process:
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as reader:
+            assert reader.readline() == b"{\n"
+        stderr = process.stderr.read()
+        code = process.wait()
+    assert code == 141
+    assert stderr == b""

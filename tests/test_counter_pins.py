@@ -2,11 +2,10 @@
 
 Every :class:`~repro.synth.SuiteStats` field except the wall-clock ones
 (``runtime_s``, ``stage_times``) is a deterministic function of the
-configuration once the process-level witness session cache is cold: it
-decides which run pays for a translation.  The string hash seed must not
-matter either; the SAT rows are measured under two (:data:`HASH_SEEDS`).
-Each run below clears that cache first, so the table pins the counters
-of :func:`repro.synth.engine.run_queries` for its three callers:
+configuration.  The string hash seed must not matter either; the SAT
+rows are measured under two (:data:`HASH_SEEDS`).  The table pins the
+counters of :func:`repro.synth.engine.run_queries` for its three
+callers:
 
 * ``synthesize`` — the one-query case, with and without generation-time
   pruning (the unpruned stream exercises orbit replays) and on the SAT
@@ -34,12 +33,7 @@ import pytest
 
 from repro.conformance import DiffConfig, diff_models, run_all_pairs
 from repro.models import x86t_amd_bug, x86t_elt
-from repro.synth import (
-    SuiteStats,
-    SynthesisConfig,
-    shared_session_cache,
-    synthesize,
-)
+from repro.synth import SuiteStats, SynthesisConfig, synthesize
 
 FIELDS = (
     "both_forbid",
@@ -55,10 +49,8 @@ FIELDS = (
     "programs_enumerated",
     "sat_conflicts",
     "sat_decisions",
-    "sat_incremental_solves",
     "sat_learned_clauses",
     "sat_propagations",
-    "sat_retained_learned_clauses",
     "sat_sessions",
     "sat_symmetry_clauses",
     "sat_translations",
@@ -70,31 +62,31 @@ FIELDS = (
 
 # fmt: off
 PINS = {
-    "synthesize/invlpg@5/default": (0, 0, False, 86, 5, 4, 0, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
-    "synthesize/invlpg@5/no-canonical-pruning": (0, 0, False, 97, 6, 4, 0, 0, 6, 0, 49, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
-    "synthesize/invlpg@5/sat": (0, 0, False, 86, 5, 4, 0, 0, 0, 0, 43, 0, 43, 0, 0, 253, 0, 43, 0, 43, 0, 0, False, 3),
-    "diff/x86t_elt->x86t_amd_bug@5/explicit": (38, 47, False, 86, 1, 1, 1, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 1),
-    "diff/x86t_elt->x86t_amd_bug@5/sat": (38, 47, False, 86, 1, 1, 1, 0, 0, 0, 43, 0, 43, 0, 0, 253, 0, 43, 0, 43, 0, 0, False, 1),
-    "all-pairs@4/sat/sc->sc_t": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc->x86t_amd_bug": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc->x86t_elt": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc->x86tso": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 0, 37, 0, 13, 0, 13, 0, 0, False, 0),
-    "all-pairs@4/sat/sc_t->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/sc_t->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc_t->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc_t->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_amd_bug->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/x86t_amd_bug->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_amd_bug->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_amd_bug->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_elt->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/x86t_elt->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_elt->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_elt->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86tso->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/x86tso->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86tso->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86tso->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 0, 37, 0, 0, 0, 0, 13, 0, False, 0),
+    "synthesize/invlpg@5/default": (0, 0, False, 86, 5, 4, 0, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
+    "synthesize/invlpg@5/no-canonical-pruning": (0, 0, False, 97, 6, 4, 0, 0, 6, 0, 49, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
+    "synthesize/invlpg@5/sat": (0, 0, False, 86, 5, 4, 0, 0, 0, 0, 43, 0, 43, 0, 253, 43, 0, 43, 0, 0, False, 3),
+    "diff/x86t_elt->x86t_amd_bug@5/explicit": (38, 47, False, 86, 1, 1, 1, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 1),
+    "diff/x86t_elt->x86t_amd_bug@5/sat": (38, 47, False, 86, 1, 1, 1, 0, 0, 0, 43, 0, 43, 0, 253, 43, 0, 43, 0, 0, False, 1),
+    "all-pairs@4/sat/sc->sc_t": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc->x86t_amd_bug": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc->x86t_elt": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc->x86tso": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 13, 0, 13, 0, 0, False, 0),
+    "all-pairs@4/sat/sc_t->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/sc_t->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc_t->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc_t->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_amd_bug->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/x86t_amd_bug->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_amd_bug->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_amd_bug->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_elt->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/x86t_elt->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_elt->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_elt->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86tso->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/x86tso->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86tso->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86tso->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
 }
 # fmt: on
 
@@ -116,17 +108,14 @@ def _row(stats: SuiteStats) -> list:
 
 
 def measure(sat_only: bool = False) -> dict:
-    """Every pinned row (or only the SAT-backend rows), each run starting
-    from a cold session cache."""
+    """Every pinned row (or only the SAT-backend rows)."""
     rows = {}
     for label, overrides in SYNTHESIS_RUNS.items():
         if sat_only and overrides.get("witness_backend") != "sat":
             continue
-        shared_session_cache().clear()
         config = SynthesisConfig(bound=5, target_axiom="invlpg", **overrides)
         rows[f"synthesize/invlpg@5/{label}"] = _row(synthesize(config).stats)
     for backend in ("sat",) if sat_only else ("explicit", "sat"):
-        shared_session_cache().clear()
         diff = DiffConfig(
             base=SynthesisConfig(
                 bound=5, model=x86t_elt(), witness_backend=backend
@@ -136,7 +125,6 @@ def measure(sat_only: bool = False) -> dict:
         rows[f"diff/x86t_elt->x86t_amd_bug@5/{backend}"] = _row(
             diff_models(diff).stats
         )
-    shared_session_cache().clear()
     matrix, _records = run_all_pairs(
         SynthesisConfig(bound=4, model=x86t_elt(), witness_backend="sat"),
         jobs=1,

@@ -72,7 +72,6 @@ def test_docs_tree_is_complete() -> None:
         "ARCHITECTURE.md",
         "CLI.md",
         "SAT_SUBSTRATE.md",
-        "INCREMENTAL_SESSIONS.md",
         "DIFFERENCING.md",
         "SYMMETRY.md",
         "BENCHMARKS.md",

@@ -107,7 +107,6 @@ class TestSatWitnessBackend:
             model=x86t_elt(),
             target_axiom="tlb_causality",
             witness_backend="sat",
-            incremental=False,
         )
         first = synthesize(config)
         second = synthesize(config)
@@ -116,30 +115,28 @@ class TestSatWitnessBackend:
         assert first.stats.sat_propagations == second.stats.sat_propagations
         assert first.stats.sat_decisions == second.stats.sat_decisions
 
-    def test_incremental_rerun_replays_sessions(self) -> None:
-        """The second incremental run of the same config answers every
-        program from the session cache: same suite, no new translations."""
-        from repro.synth import shared_session_cache
-
-        shared_session_cache().clear()
+    def test_rerun_translates_every_program_again(self) -> None:
+        """No witness list outlives its program: a second run of the same
+        config in the same process translates and solves every program
+        again (one session each) and reports the first run's counters."""
         config = SynthesisConfig(
-            bound=4,
+            bound=5,
             model=x86t_elt(),
-            target_axiom="tlb_causality",
+            target_axiom="invlpg",
             witness_backend="sat",
-            incremental=True,
+            canonical_pruning=False,
         )
         first = synthesize(config)
         second = synthesize(config)
         assert first.keys() == second.keys()
-        assert first.stats.sat_propagations > 0
-        assert first.stats.sat_translations == first.stats.programs_enumerated
-        assert first.stats.sat_sessions == first.stats.programs_enumerated
-        assert second.stats.sat_translations == 0
-        assert (
-            second.stats.sat_translations_avoided
-            == second.stats.programs_enumerated
-        )
+        for stats in (first.stats, second.stats):
+            # Orbit replays skip isomorphic duplicates before translation.
+            assert stats.orbit_replays > 0
+            translated = stats.programs_enumerated - stats.orbit_replays
+            assert stats.sat_sessions == stats.sat_translations == translated
+            assert stats.sat_translations_avoided == 0
+        assert second.stats.sat_propagations == first.stats.sat_propagations
+        assert second.stats.sat_decisions == first.stats.sat_decisions
 
     def test_explicit_backend_reports_no_sat_work(self) -> None:
         result = run("sc_per_loc", 4)

@@ -10,8 +10,9 @@ if every behavioral test still passes.
 What the digests encode:
 
 * **jobs invariance** — sharded runs must reproduce the serial bytes,
-  so one digest covers every ``--jobs``/``--shards`` plan (asserted
-  explicitly against a 4-shard run);
+  so one digest covers every ``--jobs``/``--shards`` plan (every digest
+  is asserted on the serial run and on the 4-shard plan a ``--jobs 4``
+  run executes, inline);
 * **backend agreement** — the explicit and SAT enumerators produce the
   same *bytes* everywhere: representative selection is order-free
   (identity-ranked class winners; witnesses by (canonical key, witness
@@ -21,22 +22,20 @@ What the digests encode:
 * **diff-suite backend invariance** — the differential pipeline uses
   the same order-free selection, so its suite bytes are pinned once for
   *both* backends;
-* **solver-path invariance** — every digest is asserted under both
-  ``incremental=True`` (witness sessions: one translation per program,
-  cached execution lists replayed across suites) and
-  ``incremental=False`` (the fresh-solver oracle); the session path's
-  full enumeration runs on a cold solver over the shared translation
-  precisely so these digests cannot drift apart;
 * **symmetry invariance** — every digest is asserted with
   ``symmetry=True`` (witness-orbit pruning + SAT lex-leader breaking +
   orbit-level program dedup) and with the ``--no-symmetry`` oracle;
   orbit pruning keeps exactly the witnesses the representative
   tie-break can select, so the bytes cannot depend on it;
+* **generation-pruning invariance** — the suites in which
+  arrangement pruning drops isomorphic programs (invlpg@5, the diff
+  suite, the MCM suite) are also asserted with ``canonical_pruning``
+  ablated, where the duplicates reach the pipeline;
 * **catalog coverage** — beyond the per-axiom x86t_elt suites, the
   whole-predicate suites of the other catalog models and one
   user-level MCM-mode suite (``synthesize --mcm``: ghost-free programs,
   the SAT backend's heaviest symmetry-breaking path) are pinned on
-  every backend × solver-path × symmetry combination.
+  every backend × symmetry × shard-plan combination.
 
 When an intentional engine change alters output, regenerate with::
 
@@ -52,8 +51,9 @@ import hashlib
 
 import pytest
 
+from repro.conformance import DiffConfig, diff_models, run_diff
 from repro.litmus import suite_from_diff, suite_from_synthesis
-from repro.models import CATALOG, x86t_amd_bug, x86t_elt
+from repro.models import CATALOG, x86t_amd_bug, x86t_elt, x86tso
 from repro.orchestrate import run_sharded
 from repro.synth import SynthesisConfig, synthesize
 
@@ -129,59 +129,78 @@ GOLDEN_MODEL_SUITES = {
 }
 
 
-def suite_digest(axiom: str, bound: int, backend: str, **kwargs) -> str:
+#: Pinned suites in which generation-time arrangement pruning drops
+#: isomorphic programs: case -> (config fields, suite prefix or None
+#: for the diff suite, pinned digest, programs enumerated with the
+#: pruning ablated).  With pruning on they enumerate 43, 88 and 43.
+PRUNING_ABLATIONS = {
+    "invlpg@5": (
+        {"bound": 5, "model": x86t_elt, "target_axiom": "invlpg"},
+        "invlpg",
+        GOLDEN_SUITES[("invlpg", 5, "explicit")],
+        49,
+    ),
+    "x86tso-mcm@3": (
+        {"bound": 3, "model": x86tso, "mcm_mode": True, "max_threads": 3},
+        "x86tso",
+        GOLDEN_MODEL_SUITES[("x86tso", 3, True, 3)],
+        142,
+    ),
+    "diff@5": ({"bound": 5, "model": x86t_elt}, None, GOLDEN_DIFF_SUITE, 49),
+}
+
+symmetry_axis = pytest.mark.parametrize(
+    "symmetry", [False, True], ids=["no-symmetry", "symmetry"]
+)
+#: ``None`` runs serially; 4 runs the 4-shard plan of ``--jobs 4``
+#: inline (shard plans, not process counts, are what could change
+#: bytes — worker processes run the identical code).
+plan_axis = pytest.mark.parametrize("shards", [None, 4], ids=["serial", "4-shard"])
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def synthesis_digest(config: SynthesisConfig, prefix: str, shards):
+    """The digest and stats of ``config``'s suite under plan ``shards``."""
+    if shards is None:
+        result = synthesize(config)
+    else:
+        result = run_sharded(config, jobs=1, shard_count=shards).result
+    text = suite_from_synthesis(result, prefix=prefix).dumps()
+    return digest(text), result.stats
+
+
+def diff_digest(base: SynthesisConfig, shards):
+    """The same for the x86t_elt-vs-x86t_amd_bug diff suite over ``base``."""
+    diff = DiffConfig(base=base, subject=x86t_amd_bug())
+    if shards is None:
+        cell = diff_models(diff)
+    else:
+        cell = run_diff(diff, jobs=1, shard_count=shards).cell
+    return digest(suite_from_diff(cell).dumps()), cell.stats
+
+
+@symmetry_axis
+@plan_axis
+@pytest.mark.parametrize(
+    "axiom,bound,backend", sorted(GOLDEN_SUITES), ids=lambda v: str(v)
+)
+def test_axiom_suite_matches_golden_digest(
+    axiom, bound, backend, shards, symmetry
+) -> None:
+    """Every pinned digest must hold on both symmetry paths
+    (orbit-pruned and the --no-symmetry oracle) and both shard plans."""
     config = SynthesisConfig(
         bound=bound,
         model=x86t_elt(),
         target_axiom=axiom,
         witness_backend=backend,
-        **kwargs,
-    )
-    result = synthesize(config)
-    text = suite_from_synthesis(result, prefix=axiom).dumps()
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize("symmetry", [False, True], ids=["no-symmetry", "symmetry"])
-@pytest.mark.parametrize("incremental", [False, True], ids=["fresh", "incremental"])
-@pytest.mark.parametrize(
-    "axiom,bound,backend", sorted(GOLDEN_SUITES), ids=lambda v: str(v)
-)
-def test_serial_suite_matches_golden_digest(
-    axiom, bound, backend, incremental, symmetry
-) -> None:
-    """Every pinned digest must hold on BOTH solver paths (the
-    incremental-session path and the fresh-solver oracle) and on both
-    symmetry paths (orbit-pruned and the --no-symmetry oracle).
-    Session reuse across these parametrized cases is exactly the
-    production sweep workload, so cache warmth is deliberately not
-    reset between them."""
-    assert suite_digest(
-        axiom,
-        bound,
-        backend,
-        incremental=incremental,
         symmetry=symmetry,
-    ) == GOLDEN_SUITES[(axiom, bound, backend)]
-
-
-@pytest.mark.parametrize("backend", ["explicit", "sat"])
-def test_sharded_run_matches_golden_digest(backend) -> None:
-    """--jobs 1 vs --jobs 4 byte-identity, via the 4-shard plan a
-    4-worker run executes (shard plans, not process counts, are what
-    could change bytes — worker processes run the identical code)."""
-    config = SynthesisConfig(
-        bound=4,
-        model=x86t_elt(),
-        target_axiom="sc_per_loc",
-        witness_backend=backend,
     )
-    orchestrated = run_sharded(config, jobs=1, shard_count=4)
-    text = suite_from_synthesis(
-        orchestrated.result, prefix="sc_per_loc"
-    ).dumps()
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_SUITES[("sc_per_loc", 4, backend)]
+    got, _stats = synthesis_digest(config, axiom, shards)
+    assert got == GOLDEN_SUITES[(axiom, bound, backend)]
 
 
 def test_backends_agree_on_canonical_classes_at_invlpg5() -> None:
@@ -203,37 +222,25 @@ def test_backends_agree_on_canonical_classes_at_invlpg5() -> None:
     assert results["explicit"].count == results["sat"].count == 3
 
 
-@pytest.mark.parametrize("symmetry", [False, True], ids=["no-symmetry", "symmetry"])
-@pytest.mark.parametrize("incremental", [False, True], ids=["fresh", "incremental"])
+@symmetry_axis
+@plan_axis
 @pytest.mark.parametrize("backend", ["explicit", "sat"])
-def test_diff_suite_matches_golden_digest(backend, incremental, symmetry) -> None:
-    from repro.conformance import DiffConfig, diff_models
-
-    cell = diff_models(
-        DiffConfig(
-            base=SynthesisConfig(
-                bound=5,
-                model=x86t_elt(),
-                witness_backend=backend,
-                incremental=incremental,
-                symmetry=symmetry,
-            ),
-            subject=x86t_amd_bug(),
-        )
+def test_diff_suite_matches_golden_digest(backend, shards, symmetry) -> None:
+    base = SynthesisConfig(
+        bound=5, model=x86t_elt(), witness_backend=backend, symmetry=symmetry
     )
-    text = suite_from_diff(cell).dumps()
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_DIFF_SUITE
+    got, _stats = diff_digest(base, shards)
+    assert got == GOLDEN_DIFF_SUITE
 
 
-@pytest.mark.parametrize("symmetry", [False, True], ids=["no-symmetry", "symmetry"])
-@pytest.mark.parametrize("incremental", [False, True], ids=["fresh", "incremental"])
+@symmetry_axis
+@plan_axis
 @pytest.mark.parametrize("backend", ["explicit", "sat"])
 @pytest.mark.parametrize(
     "model,bound,mcm,threads", sorted(GOLDEN_MODEL_SUITES), ids=lambda v: str(v)
 )
 def test_catalog_model_suite_matches_golden_digest(
-    model, bound, mcm, threads, backend, incremental, symmetry
+    model, bound, mcm, threads, backend, shards, symmetry
 ) -> None:
     config = SynthesisConfig(
         bound=bound,
@@ -241,9 +248,33 @@ def test_catalog_model_suite_matches_golden_digest(
         mcm_mode=mcm,
         max_threads=threads,
         witness_backend=backend,
-        incremental=incremental,
         symmetry=symmetry,
     )
-    text = suite_from_synthesis(synthesize(config), prefix=model).dumps()
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_MODEL_SUITES[(model, bound, mcm, threads)]
+    got, _stats = synthesis_digest(config, model, shards)
+    assert got == GOLDEN_MODEL_SUITES[(model, bound, mcm, threads)]
+
+
+@symmetry_axis
+@plan_axis
+@pytest.mark.parametrize("backend", ["explicit", "sat"])
+@pytest.mark.parametrize("case", sorted(PRUNING_ABLATIONS))
+def test_pruning_ablation_matches_golden_digest(
+    case, backend, shards, symmetry
+) -> None:
+    """With ``canonical_pruning`` off, isomorphic duplicate programs
+    reach the pipeline (the pinned program count shows the ablation
+    bites on this suite); orbit dedup and identity-ranked class
+    selection must still give the pinned bytes."""
+    fields, prefix, golden, programs = PRUNING_ABLATIONS[case]
+    config = SynthesisConfig(
+        **dict(fields, model=fields["model"]()),
+        witness_backend=backend,
+        symmetry=symmetry,
+        canonical_pruning=False,
+    )
+    if prefix is None:
+        got, stats = diff_digest(config, shards)
+    else:
+        got, stats = synthesis_digest(config, prefix, shards)
+    assert got == golden
+    assert stats.programs_enumerated == programs

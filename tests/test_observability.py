@@ -128,12 +128,12 @@ class TestMetricsRegistry:
     ) -> None:
         registry = MetricsRegistry()
         registry.inc("suite.interesting", 2)
-        registry.inc("cache.session_hits", 5, informational=True)
+        registry.inc("fuzz.oracle_memo_hits", 5, informational=True)
         deterministic = registry.deterministic_snapshot()
         assert deterministic["counters"] == {"suite.interesting": 2}
-        assert "cache.session_hits" not in deterministic["counters"]
+        assert "fuzz.oracle_memo_hits" not in deterministic["counters"]
         assert registry.snapshot()["informational"]["counters"] == {
-            "cache.session_hits": 5
+            "fuzz.oracle_memo_hits": 5
         }
 
     def test_null_registry_is_falsy_and_inert(self) -> None:

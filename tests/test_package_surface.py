@@ -62,7 +62,7 @@ HEAVY_MODULES = (
 #: Lazily re-exported names, by package.
 LAZY_NAMES = {
     "repro.relational": ("Problem", "ProblemSession", "RelationBound"),
-    "repro.synth": ("WitnessSession", "WitnessSessionCache", "shared_session_cache"),
+    "repro.synth": ("WitnessSession",),
 }
 
 #: Modules only a worker pool needs: a serial sharded run (inline
@@ -148,6 +148,40 @@ RETIRED_NAME_HOMES = (
 def test_retired_names_are_gone(name: str) -> None:
     for package in RETIRED_NAME_HOMES:
         assert not hasattr(importlib.import_module(package), name), package
+
+
+def test_sat_session_cache_and_query_layer_are_gone() -> None:
+    """The SAT path translates and enumerates each program once: no
+    process-wide session cache, no assumption-scoped queries, no
+    constraint groups, and no knob selecting them may come back."""
+    from dataclasses import fields
+
+    from repro.fuzz import FuzzConfig
+    from repro.relational import Problem, ProblemSession
+    from repro.sat import SolverStats
+    from repro.synth import SynthesisConfig, sat_backend
+
+    for name in (
+        "WitnessSessionCache",
+        "shared_session_cache",
+        "program_identity_key",
+        "DEFAULT_SESSION_CACHE_SIZE",
+    ):
+        assert not hasattr(sat_backend, name), name
+    for owner, names in (
+        (
+            sat_backend.WitnessSession,
+            ("has_witness", "has_discriminating_witness", "query_executions"),
+        ),
+        (ProblemSession, ("solve", "iter_instances", "add_group")),
+        (Problem, ("groups",)),
+    ):
+        for name in names:
+            assert not hasattr(owner, name), (owner.__name__, name)
+    for config in (SynthesisConfig, FuzzConfig):
+        assert "incremental" not in {spec.name for spec in fields(config)}
+    counters = {spec.name for spec in fields(SolverStats)}
+    assert not counters & {"incremental_solves", "retained_learned_clauses"}
 
 
 #: Every sharded driver, and the executor they share.

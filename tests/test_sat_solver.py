@@ -188,6 +188,46 @@ class TestAssumptions:
         assert not solver.solve(assumptions=[-2]).satisfiable
         assert solver.solve().satisfiable
 
+    @staticmethod
+    def _guarded_cnf():
+        """x1 free, g1 -> x1, g2 -> ¬x1, one extra free var x2."""
+        cnf = Cnf()
+        x1, x2, g1, g2 = (cnf.new_var() for _ in range(4))
+        cnf.add_clause([-g1, x1])
+        cnf.add_clause([-g2, -x1])
+        return cnf, x1, x2, g1, g2
+
+    def test_enumeration_respects_assumptions(self) -> None:
+        cnf, x1, x2, g1, g2 = self._guarded_cnf()
+        solver = CdclSolver(cnf)
+        tag = cnf.new_var()
+        models = list(solver.iter_solutions(assumptions=[tag, g1, -g2]))
+        assert len(models) == 2
+        assert all(m[x1] for m in models)
+
+    def test_blocking_clauses_retract_with_the_tag(self) -> None:
+        cnf, x1, x2, g1, g2 = self._guarded_cnf()
+        solver = CdclSolver(cnf)
+        for selected in ([g1, -g2], [-g1, g2], [-g1, -g2], [g1, -g2]):
+            tag = cnf.new_var()
+            models = list(
+                solver.iter_solutions(assumptions=[tag] + selected)
+            )
+            expected = 4 if selected == [-g1, -g2] else 2
+            assert len(models) == expected, selected
+            solver.add_clause([-tag])
+        # The solver survives every enumeration and still answers solves.
+        assert solver.solve([g1, g2]).satisfiable is False
+        assert solver.solve([-g1, -g2]).satisfiable is True
+
+    def test_unsat_under_assumptions_keeps_solver_usable(self) -> None:
+        cnf, x1, x2, g1, g2 = self._guarded_cnf()
+        solver = CdclSolver(cnf)
+        tag = cnf.new_var()
+        assert list(solver.iter_solutions(assumptions=[tag, g1, g2])) == []
+        solver.add_clause([-tag])
+        assert solver.solve([g1]).satisfiable is True
+
 
 class TestEnumeration:
     def test_count_all_models_of_or(self) -> None:

@@ -334,11 +334,6 @@ class TestOracleEquivalence:
         assert ablated.stats.orbit_replays > 0
 
     def test_ablation_skips_translations_on_sat_backend(self) -> None:
-        from repro.synth import shared_session_cache
-
-        # The translation count is only meaningful on a cold
-        # process-level session cache.
-        shared_session_cache().clear()
         ablated = synthesize(
             SynthesisConfig(
                 bound=5,
