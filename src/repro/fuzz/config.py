@@ -58,8 +58,12 @@ class FuzzConfig:
     max_witnesses: int = 20000
     #: Wall-clock budget for the whole run (None = unbounded).
     time_budget_s: Optional[float] = None
-    # Execution-strategy knobs (output-invariant, excluded from identity).
+    #: Candidate-execution enumerator.  Part of the identity, as for
+    #: suites: the two backends disagree on a few programs from bound 8
+    #: (docs/ARCHITECTURE.md, "The canonical co_pa completion").
     witness_backend: str = "explicit"
+    #: Output-invariant execution strategy: the one field excluded from
+    #: the identity.
     symmetry: bool = True
 
     def __post_init__(self) -> None:

@@ -27,11 +27,11 @@ every query reads its axiom verdicts from one shared
 conformance (:mod:`repro.conformance`) runs one query per (reference,
 subject) pair over the same enumeration.  The loop owns what the
 queries share: deadline polls, program spans, symmetry analysis and
-orbit-cache replay, lazy keys and ranks, the per-pass minimality memo,
-representative selection, SAT-counter crediting and stage timing.  It
-also ends each program's memos (:func:`~repro.mtm.release_program_memo`)
-when it is done with the program, so the programs a result keeps hold
-none.
+orbit-cache replay, lazy keys and ranks, one minimality verdict per
+witness and judging model, representative selection, SAT-counter
+crediting and stage timing.  It also ends each program's memos
+(:func:`~repro.mtm.release_program_memo`) when it is done with the
+program, so the programs a result keeps hold none.
 
 With ``config.symmetry`` (default on), :mod:`repro.symmetry` quotients
 the work first: each program's automorphism group prunes its witness
@@ -85,9 +85,10 @@ from .witnesses import enumerate_witnesses
 
 def _uncached_is_minimal(execution, model, evaluation=None) -> bool:
     """:func:`~repro.synth.relax.is_minimal` as :func:`run_queries` calls
-    it on a per-pass memo miss.  The loop resolves it through this
-    module's globals, where the end-to-end benchmark's span map
-    (bench_e2e/layers.py, "relax.minimality") wraps it."""
+    it: once per candidate witness and distinct judging model.  The loop
+    resolves it through this module's globals, where the end-to-end
+    benchmark's span map (bench_e2e/layers.py, "relax.minimality") wraps
+    it."""
     return is_minimal(execution, model, evaluation)
 
 
@@ -380,13 +381,15 @@ def run_queries(
     synthesis, forbidden; see :class:`ForbiddenQuery`).  ``permits``
     is the table's per-witness evaluator and ``execution_key_of()`` the
     lazily computed canonical key.  The loop does the rest, identically
-    for every query: candidates are checked for §IV-B minimality under
-    ``query.model`` — once per (model, canonical key) per pass, through
-    the pass's own memo, in the witness's one evaluation, whose recorded
-    violation usually decides the check — each distinct minimal key
+    for every query.  It checks each candidate for §IV-B minimality
+    under ``query.model``, in the witness's one evaluation, whose
+    recorded violation usually decides the check; queries judged under
+    the same model share one verdict per witness, and no verdict
+    outlives its witness.  Only a minimal candidate is keyed (besides
+    the keys a query's ``observe`` asks for): each distinct minimal key
     counts once in ``stats.minimal``, and each program's smallest
     ``(canonical key, witness sort key)`` minimal candidate competes for
-    its class entry (:func:`_fold`).  No verdict outlives the pass.
+    its class entry (:func:`_fold`).
 
     With ``config.symmetry``, each program's witness stream arrives
     orbit-pruned and weighted (see :func:`witness_stream_factory`), and
@@ -412,13 +415,14 @@ def run_queries(
     witness_stream, sat_stats = witness_stream_factory(
         config, stage_times=stage_times
     )
-    #: Per query: (query, minimality memo shared by every query judged
-    #: under the same model, minimal keys already credited).
-    plans = []
-    memos: dict = {}
-    for query in queries:
-        memo = memos.setdefault(model_fingerprint(query.model), {})
-        plans.append((query, memo, set()))
+    #: Per query: (query, slot of its judging model in a witness's
+    #: verdicts, minimal keys already credited).  Queries judged under
+    #: the same model share a slot.
+    slots: dict = {}
+    plans = [
+        (query, slots.setdefault(model_fingerprint(query.model), len(slots)), set())
+        for query in queries
+    ]
     #: canonical program key -> (identity rank, weighted executions,
     #: per-query deltas of the _OBSERVED counters) of the class member
     #: that ran in full.
@@ -530,20 +534,20 @@ def run_queries(
                         return key_memo[0]
 
                     witness_rank = None
-                    for index, (query, memo, credited) in enumerate(plans):
+                    verdicts: list = [None] * len(slots)
+                    for index, (query, slot, credited) in enumerate(plans):
                         if not query.observe(permits, weight, execution_key_of):
                             continue
-                        execution_key = execution_key_of()
-                        minimal = memo.get(execution_key)
+                        minimal = verdicts[slot]
                         if minimal is None:
                             checked = clock()
-                            minimal = _uncached_is_minimal(
+                            minimal = verdicts[slot] = _uncached_is_minimal(
                                 execution, query.model, evaluation
                             )
                             minimality_s += clock() - checked
-                            memo[execution_key] = minimal
                         if not minimal:
                             continue
+                        execution_key = execution_key_of()
                         if execution_key not in credited:
                             credited.add(execution_key)
                             query.outcome.stats.minimal += 1
@@ -579,7 +583,7 @@ def run_queries(
                     else:
                         program_key = canonical_program_key(program)
                         rep_rank = identity_program_key(program)
-                    for (query, _memo, _credited), candidate, count in zip(
+                    for (query, _slot, _credited), candidate, count in zip(
                         plans, candidates, new_keys
                     ):
                         if candidate is not None:

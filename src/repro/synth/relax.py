@@ -367,14 +367,16 @@ def _violation_atoms(
 
 
 def model_fingerprint(model: MemoryModel) -> tuple:
-    """Semantic identity of a model for memos keyed by model (the
-    per-pass minimality memos and the diff model table): its name plus
-    each axiom's (name, predicate-function)
-    pair.  Catalog models are built from shared module-level
-    :class:`~repro.models.Axiom` constants, so re-instantiating one
-    yields the same fingerprint.  The predicate *objects* (not their
-    ids) are the keys, so a memo holding a fingerprint pins them and a
-    recycled function id can never alias two different models."""
+    """Semantic identity of a model, for grouping by model: it groups a
+    :func:`~repro.synth.engine.run_queries` pass's queries by judging
+    model (one minimality verdict per witness and group) and keys the
+    diff model table.  It is the model's name plus each axiom's (name,
+    predicate-function) pair.  Catalog models are built from shared
+    module-level :class:`~repro.models.Axiom` constants, so
+    re-instantiating one yields the same fingerprint.  The predicate
+    *objects* (not their ids) are the keys, so a table holding a
+    fingerprint pins them and a recycled function id can never alias two
+    different models."""
     return (
         model.name,
         tuple((a.name, a.predicate) for a in model.axioms),

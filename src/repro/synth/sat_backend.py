@@ -369,9 +369,7 @@ class WitnessProblem:
         # co_pa: strict total order per target PA, consistent with co.
         p.constrain(no(co_pa & Iden()))
         p.constrain(subset(co_pa.dot(co_pa), co_pa))
-        p.constrain(
-            subset(Literal(TupleSet.pairs(self._same_target_pairs())), co_pa + co_pa.t())
-        )
+        p.constrain(subset(self.same_target, co_pa + co_pa.t()))
         p.constrain(no(co_pa & co.t()))
 
         # rf_pa / fr_va / fr_pa per their Table I definitions.
@@ -393,18 +391,6 @@ class WitnessProblem:
             unorigined_users.product(self.PteWrite) & pa_target_match
         )
         self.fr_pa = p.define(names.FR_PA, 2, fr_pa_expr)
-
-    def _same_target_pairs(self) -> list[Pair]:
-        events = self.program.events
-        return [
-            (a, b)
-            for a in events
-            for b in events
-            if a != b
-            and events[a].kind is EventKind.PTE_WRITE
-            and events[b].kind is EventKind.PTE_WRITE
-            and events[a].pa == events[b].pa
-        ]
 
     # ------------------------------------------------------------------
     def constrain_model(self, model: MemoryModel, violated: bool) -> None:

@@ -38,10 +38,10 @@ each program once.  Both backends feed the same consumers:
 under either one, the program loop
 (:func:`repro.synth.engine.run_queries`) iterates a program's witnesses
 once for every query in flight — one per model pair in a fused
-conformance run, and the §IV-B minimality
-verdicts computed from :func:`enumerate_witnesses_constrained` are
-shared across suites and pairs through the cache in
-:mod:`repro.synth.relax`.
+conformance run — and decides each candidate's §IV-B minimality
+(:mod:`repro.synth.relax`, whose rebuilt relaxations
+:func:`enumerate_witnesses_constrained` completes) once per witness and
+judging model, so pairs with a common reference share one verdict.
 """
 
 from __future__ import annotations

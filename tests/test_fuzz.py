@@ -382,6 +382,13 @@ class TestRunFuzz:
         assert fuzz_identity(amd_config(symmetry=False)) == base
         assert fuzz_identity(amd_config(seed=1)) != base
 
+    def test_identity_keeps_the_witness_backend(self) -> None:
+        # The two backends disagree on a few programs from bound 8, so a
+        # SAT run must not reuse an explicit run's cached result.
+        sat = fuzz_identity(amd_config(witness_backend="sat"))
+        assert sat != fuzz_identity(amd_config())
+        assert fuzz_identity(amd_config(witness_backend="sat", symmetry=False)) == sat
+
     def test_zero_budget_times_out_without_findings_commit(self, tmp_path) -> None:
         store = SuiteStore(tmp_path / "cache")
         config = amd_config(time_budget_s=0.0)

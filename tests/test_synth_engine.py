@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.conformance import run_all_pairs
 from repro.litmus.figures import fig10a_ptwalk2, fig11_stale_mapping_after_ipi
 from repro.models import x86t_elt, x86tso
 from repro.mtm import EventKind
@@ -18,6 +19,8 @@ from repro.synth import (
     synthesize,
     synthesize_sweep,
 )
+from repro.synth import engine
+from repro.synth.relax import model_fingerprint
 
 
 def run(axiom: str, bound: int, **overrides):
@@ -182,6 +185,56 @@ class TestSweep:
         result = synthesize(config)
         assert result.stats.timed_out
         assert result.stats.runtime_s < 10.0
+
+
+class TestProgramLoopContract:
+    """What ``run_queries`` computes per witness: one §IV-B verdict per
+    judging model, and a canonical key only for a minimal candidate."""
+
+    def test_only_minimal_candidates_are_keyed(self, monkeypatch) -> None:
+        verdicts: list = []
+        keyed: list = []
+        real_minimal = engine._uncached_is_minimal
+        real_via = engine.execution_key_via
+        real_key = engine.canonical_execution_key
+
+        def minimal_spy(execution, model, evaluation=None):
+            verdict = real_minimal(execution, model, evaluation)
+            verdicts.append((execution, verdict))
+            return verdict
+
+        def via_spy(sym, execution):
+            keyed.append(execution)
+            return real_via(sym, execution)
+
+        def key_spy(execution):
+            keyed.append(execution)
+            return real_key(execution)
+
+        monkeypatch.setattr(engine, "_uncached_is_minimal", minimal_spy)
+        monkeypatch.setattr(engine, "execution_key_via", via_spy)
+        monkeypatch.setattr(engine, "canonical_execution_key", key_spy)
+        result = synthesize(SynthesisConfig(bound=6))
+        minimal = [execution for execution, verdict in verdicts if verdict]
+        assert result.elts and len(minimal) < len(verdicts)
+        assert [id(e) for e in keyed] == [id(e) for e in minimal]
+
+    def test_fused_pairs_share_one_verdict_per_witness_and_model(
+        self, monkeypatch
+    ) -> None:
+        checks: list = []
+        real_minimal = engine._uncached_is_minimal
+
+        def minimal_spy(execution, model, evaluation=None):
+            checks.append((execution, model_fingerprint(model)))
+            return real_minimal(execution, model, evaluation)
+
+        monkeypatch.setattr(engine, "_uncached_is_minimal", minimal_spy)
+        run_all_pairs(SynthesisConfig(bound=5))
+        assert len({(id(e), model) for e, model in checks}) == len(checks)
+        # Pinned: 58 candidates over the 20 pairs, 4 of them answered by
+        # the verdict a pair with the same reference already decided.
+        assert len(checks) == 54
 
 
 class TestConfigValidation:
