@@ -1,8 +1,8 @@
 """Symmetry-aware enumeration: wall-time and orbit-counter benchmark.
 
 Measures the symmetry subsystem (:mod:`repro.symmetry` — generation-time
-arrangement canonicalization, orbit-level program dedup, witness-orbit
-pruning, SAT lex-leader clauses) against the **no-symmetry-breaking
+arrangement canonicalization, witness-orbit pruning, SAT lex-leader
+clauses) against the **no-symmetry-breaking
 baseline**: ``symmetry=False`` *and* ``canonical_pruning=False``, i.e.
 the bounded-exhaustive search exploring every thread arrangement of
 every isomorphism class and every member of every witness orbit, with
@@ -75,7 +75,6 @@ def _counters(stats) -> dict:
         "executions": stats.executions_enumerated,
         "symmetric_programs": stats.symmetric_programs,
         "orbit_witnesses_pruned": stats.orbit_witnesses_pruned,
-        "orbit_replays": stats.orbit_replays,
         "symmetry_clauses": stats.sat_symmetry_clauses,
         "translations": stats.sat_translations,
     }
@@ -191,7 +190,6 @@ GATED_COUNTERS = (
     "executions",
     "symmetric_programs",
     "orbit_witnesses_pruned",
-    "orbit_replays",
     "symmetry_clauses",
     "translations",
 )

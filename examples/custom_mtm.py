@@ -41,10 +41,11 @@ def main() -> None:
         "(forbidden on correct x86, permitted by the erratum model):"
     )
     for index, elt in enumerate(detectors, start=1):
+        execution = elt.execution
         print(f"\n--- detector {index} ---")
-        print(format_execution(elt.execution, show_derived=False))
-        print(f"correct: {correct.check(elt.execution)}")
-        print(f"buggy:   {buggy.check(elt.execution)}")
+        print(format_execution(elt, show_derived=False))
+        print(f"correct: {correct.check(execution)}")
+        print(f"buggy:   {buggy.check(execution)}")
 
     assert detectors, "expected at least one pure invlpg-bug detector"
     print(

@@ -49,7 +49,7 @@ def main() -> None:
     )
     for index, elt in enumerate(suite.elts, start=1):
         print(f"\n--- ELT {index}: violates {', '.join(elt.violated_axioms)} ---")
-        print(format_execution(elt.execution, show_derived=False))
+        print(format_execution(elt, show_derived=False))
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ Subpackages
 ``repro.symmetry``
     Symmetry-aware enumeration: program automorphism groups,
     witness-orbit pruning with exact weights, SAT-level lex-leader
-    breaking, orbit-level program dedup.
+    breaking.
 ``repro.litmus``
     ELT text formats, the reconstructed COATCheck suite, and the §VI-B
     comparison tool.

@@ -213,7 +213,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         print(render_shard_runtimes(orchestrated, cached=store is not None))
     for index, elt in enumerate(result.elts):
         print(f"\n--- ELT {index + 1} (violates: {', '.join(elt.violated_axioms)}) ---")
-        print(format_execution(elt.execution, show_derived=args.verbose))
+        print(format_execution(elt, show_derived=args.verbose))
     artifacts = None
     if args.save:
         from .litmus import suite_from_synthesis
@@ -468,7 +468,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
                 f"\n--- discriminating ELT {index} "
                 f"(violates: {', '.join(elt.violated_axioms)}) ---"
             )
-            print(format_execution(elt.execution, show_derived=args.verbose))
+            print(format_execution(elt, show_derived=args.verbose))
     _emit_profile(
         args,
         cell.stats,
@@ -715,8 +715,8 @@ def _add_orchestration_arguments(parser: argparse.ArgumentParser) -> None:
         "--no-symmetry",
         action="store_true",
         help="disable symmetry-aware enumeration (witness-orbit pruning, "
-        "SAT lex-leader clauses, orbit-level program dedup) — the "
-        "differential oracle path; output is byte-identical either way",
+        "SAT lex-leader clauses) — the differential oracle path; output "
+        "is byte-identical either way",
     )
     parser.add_argument(
         "--profile",

@@ -14,7 +14,7 @@ built so far:
   (:func:`repro.synth.engine.run_queries`), which enumerates — and,
   under the SAT backend, translates — each program once for all pairs,
   shares per-witness axiom verdicts through one
-  :class:`~repro.models.AxiomTable`, and owns orbit replay
+  :class:`~repro.models.AxiomTable`, and owns symmetry pruning
   (:mod:`repro.symmetry`), minimality and representative selection.
   Discriminating ELTs are :class:`~repro.synth.SynthesizedElt`
   records, exactly like synthesized suites;

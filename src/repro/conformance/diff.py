@@ -27,11 +27,12 @@ query classifying every candidate execution under both models.
   :class:`~repro.synth.SuiteStats`, and the canonical keys of both
   asymmetric buckets are collected for refinement verdicts.
 
-Everything else — orbit replay, minimality, order-free representative
-selection, deadlines, SAT counters — is the shared loop's, so a diff
-suite's entries are :class:`~repro.synth.SynthesizedElt` records whose
-``.elts`` bytes are identical across ``--jobs`` settings, witness
-backends and ``--no-symmetry``.
+Everything else — symmetry pruning, minimality, order-free
+representative selection, deadlines, SAT counters — is the shared
+loop's, so a diff suite's entries are
+:class:`~repro.synth.SynthesizedElt` records (a program and its
+witness) whose ``.elts`` bytes are identical across ``--jobs``
+settings, witness backends and ``--no-symmetry``.
 """
 
 from __future__ import annotations

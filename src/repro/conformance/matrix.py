@@ -132,7 +132,7 @@ def cell_to_json(cell: ConformanceCell) -> dict:
             {
                 "violates": list(elt.violated_axioms),
                 "outcomes": elt.outcome_count,
-                "elt": serialize_elt(elt.execution),
+                "elt": serialize_elt(elt),
             }
             for elt in cell.elts
         ],

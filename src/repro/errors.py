@@ -15,10 +15,6 @@ class CnfError(ReproError):
     """Malformed CNF input (bad literal, empty variable range, ...)."""
 
 
-class DimacsError(ReproError):
-    """Malformed DIMACS file contents."""
-
-
 class RelationalError(ReproError):
     """Errors in relational specifications (arity mismatch, unknown relation,
     unbound variable, bad bounds)."""

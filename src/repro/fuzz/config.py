@@ -153,10 +153,10 @@ class FuzzStats:
 def fuzz_identity(config: FuzzConfig) -> dict[str, Any]:
     """The JSON-safe identity of a fuzz configuration (the store key
     base for fuzz-kind entries; see :mod:`repro.orchestrate.store`)."""
-    from ..orchestrate.store import SCHEMA_VERSION
+    from ..orchestrate.store import FUZZ_SCHEMA_VERSION
 
     return {
-        "schema": SCHEMA_VERSION,
+        "schema": FUZZ_SCHEMA_VERSION,
         "seed": config.seed,
         "bound": config.bound,
         "reference": config.reference.name,

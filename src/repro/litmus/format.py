@@ -8,6 +8,12 @@ Two formats:
 * :func:`serialize_elt` — a compact line-oriented machine format that
   round-trips through :mod:`repro.litmus.parser`.
 
+Both read an ELT's program and witness — ``program``, ``rf``, ``co`` and
+``co_pa`` — so they take an :class:`~repro.mtm.Execution` or a
+synthesized ELT (:class:`~repro.synth.SynthesizedElt`), which keeps only
+its witness.  Only the derived lines of :func:`format_execution` need an
+execution; a synthesized ELT rebuilds one for them.
+
 Events are addressed positionally in the machine format: ``T.S`` is the
 non-ghost instruction at slot S of thread T; ``walk:T.S`` / ``wdb:T.S``
 name its ghost page-table walk / dirty-bit write.
@@ -67,9 +73,9 @@ def format_program(program: Program) -> str:
     return "\n".join(lines)
 
 
-def format_execution(execution: Execution, show_derived: bool = True) -> str:
+def format_execution(elt, show_derived: bool = True) -> str:
     """Program listing plus witness edges and key derived relations."""
-    program = execution.program
+    program = elt.program
     refs = _position_names(program)
     lines = [format_program(program)]
 
@@ -80,17 +86,18 @@ def format_execution(execution: Execution, show_derived: bool = True) -> str:
             lines.append(f"  {title}: {rendered}")
 
     lines.append("witness:")
-    edge_lines("rf", execution._rf)
-    edge_lines("co", execution.co)
-    edge_lines("co_pa", execution.co_pa)
+    edge_lines("rf", elt.rf)
+    edge_lines("co", elt.co)
+    edge_lines("co_pa", elt.co_pa)
     if show_derived:
+        execution = elt if isinstance(elt, Execution) else elt.execution
         lines.append("derived:")
         for name in (names.FR, names.RF_PTW, names.RF_PA, names.FR_VA):
             edge_lines(name, execution.relation(name).tuples)
         outcome = []
         for eid, event in program.events.items():
             if event.kind is EventKind.READ:
-                sources = [a for a, b in execution._rf if b == eid]
+                sources = [a for a, b in elt.rf if b == eid]
                 src = refs[sources[0]] if sources else "initial"
                 outcome.append(f"{refs[eid]}={src}")
         if outcome:
@@ -98,9 +105,9 @@ def format_execution(execution: Execution, show_derived: bool = True) -> str:
     return "\n".join(lines)
 
 
-def serialize_elt(execution: Execution) -> str:
+def serialize_elt(elt) -> str:
     """Round-trippable machine format (see module docstring)."""
-    program = execution.program
+    program = elt.program
     refs = _position_names(program)
     wpte_order = [
         eid
@@ -147,10 +154,10 @@ def serialize_elt(execution: Execution) -> str:
             lines.append(f"  {op} {event.va} {mode}")
     for r, w in sorted(program.rmw, key=lambda p: refs[p[0]]):
         lines.append(f"rmw {refs[r]} {refs[w]}")
-    for a, b in sorted(execution._rf, key=lambda p: (refs[p[0]], refs[p[1]])):
+    for a, b in sorted(elt.rf, key=lambda p: (refs[p[0]], refs[p[1]])):
         lines.append(f"rf {refs[a]} {refs[b]}")
-    for a, b in sorted(execution.co, key=lambda p: (refs[p[0]], refs[p[1]])):
+    for a, b in sorted(elt.co, key=lambda p: (refs[p[0]], refs[p[1]])):
         lines.append(f"co {refs[a]} {refs[b]}")
-    for a, b in sorted(execution.co_pa, key=lambda p: (refs[p[0]], refs[p[1]])):
+    for a, b in sorted(elt.co_pa, key=lambda p: (refs[p[0]], refs[p[1]])):
         lines.append(f"co_pa {refs[a]} {refs[b]}")
     return "\n".join(lines) + "\n"

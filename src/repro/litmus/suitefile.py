@@ -55,8 +55,16 @@ HEADER = "eltsuite v1"
 @dataclass
 class SuiteEntry:
     name: str
-    execution: Execution
+    #: The ELT: an :class:`Execution` (parsed, or a fuzz finding's) or a
+    #: synthesized ELT, which keeps only its program and witness.
+    elt: object
     meta: Mapping[str, str] = field(default_factory=dict)
+
+    @property
+    def execution(self) -> Execution:
+        """The entry's execution; a synthesized ELT rebuilds it."""
+        elt = self.elt
+        return elt if isinstance(elt, Execution) else elt.execution
 
 
 @dataclass
@@ -68,12 +76,12 @@ class EltSuite:
     def add(
         self,
         name: str,
-        execution: Execution,
+        elt,
         meta: Optional[Mapping[str, str]] = None,
     ) -> None:
         if any(entry.name == name for entry in self.entries):
             raise LitmusFormatError(f"duplicate test name {name!r}")
-        self.entries.append(SuiteEntry(name, execution, dict(meta or {})))
+        self.entries.append(SuiteEntry(name, elt, dict(meta or {})))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -103,7 +111,7 @@ class EltSuite:
                     f"{key}={value}" for key, value in sorted(entry.meta.items())
                 )
                 lines.append(f"meta {rendered}")
-            lines.append(serialize_elt(entry.execution).rstrip("\n"))
+            lines.append(serialize_elt(entry.elt).rstrip("\n"))
             lines.append("endtest")
         return "\n".join(lines) + "\n"
 
@@ -173,7 +181,7 @@ def suite_from_diff(cell, prefix: str = "diff") -> EltSuite:
     for index, elt in enumerate(cell.elts, start=1):
         suite.add(
             f"{prefix}_{index:03d}",
-            elt.execution,
+            elt,
             meta={
                 "reference": cell.reference,
                 "subject": cell.subject,
@@ -223,7 +231,7 @@ def suite_from_synthesis(result, prefix: str = "elt") -> EltSuite:
     for index, elt in enumerate(result.elts, start=1):
         suite.add(
             f"{prefix}_{index:03d}",
-            elt.execution,
+            elt,
             meta={
                 "violates": ",".join(elt.violated_axioms),
                 "bound": str(result.bound),

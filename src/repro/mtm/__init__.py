@@ -6,7 +6,7 @@ Public surface:
   support, ghost).
 * :class:`Program` / :class:`ProgramBuilder` — ELT programs with po,
   ghost, remap and rmw structure; :func:`program_memo` /
-  :func:`release_program_memo` — what a program's executions share.
+  :func:`release_program_memo` — every cache derived from a program.
 * :class:`Execution` — candidate executions: program + (rf, co, co_pa)
   witness, with every Table I relation derived.
 * :class:`Vocabulary` / :func:`symbolic_vocabulary` — the namespace axioms

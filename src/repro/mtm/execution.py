@@ -71,15 +71,14 @@ def derive_rf_ptw(program: Program) -> frozenset[Pair]:
     per core).  Raises if an access has no live entry and no walk of its
     own — such a program is ill-formed (§III-A1).
 
-    Cached on the program (one Execution is built per witness per
-    relaxation; the relation never changes).
+    Kept in the program's :class:`~repro.mtm.program.ProgramMemo` (one
+    Execution is built per witness per relaxation; the relation never
+    changes).
     """
-    cached = getattr(program, "_rf_ptw_cache", None)
-    if cached is not None:
-        return cached
-    result = _derive_rf_ptw_uncached(program)
-    object.__setattr__(program, "_rf_ptw_cache", result)
-    return result
+    memo = program_memo(program)
+    if memo.rf_ptw is None:
+        memo.rf_ptw = _derive_rf_ptw_uncached(program)
+    return memo.rf_ptw
 
 
 def _derive_rf_ptw_uncached(program: Program) -> frozenset[Pair]:
@@ -886,6 +885,12 @@ class Execution:
     # ------------------------------------------------------------------
     # Views and export
     # ------------------------------------------------------------------
+    @property
+    def rf(self) -> frozenset[Pair]:
+        """The witness's rf edges; with ``co`` and ``co_pa`` (both
+        closed) they determine the execution."""
+        return self._rf
+
     def relation(self, name: str) -> TupleSet:
         try:
             return self.relations[name]

@@ -118,11 +118,11 @@ class Program:
 
     def __getstate__(self):
         """The structural fields plus the program positions, and nothing
-        else: every computation memo (:func:`program_memo`, the symmetry,
-        removal-group, rf_ptw and static-relation caches) is stripped, so
-        pickled programs — shard results, suite-store payloads — carry
-        no derived state.  ``_positions`` stays because validation sets
-        it and unpickling does not validate."""
+        else: the :class:`ProgramMemo`, which holds every cache derived
+        from the program, is left out, so pickled programs — shard
+        results, suite-store payloads — carry no derived state.
+        ``_positions`` stays because validation sets it and unpickling
+        does not validate."""
         state = {f.name: self.__dict__[f.name] for f in fields(self)}
         state["_positions"] = self._positions
         return state
@@ -344,12 +344,13 @@ class Program:
         return positions
 
     def static_relations(self) -> dict[str, "object"]:
-        """Relations determined by the program alone (no witness): cached
-        here because candidate-execution construction is the synthesis
-        engine's hot loop (one Execution per witness per relaxation)."""
-        cached = getattr(self, "_static_relations", None)
-        if cached is not None:
-            return cached
+        """Relations determined by the program alone (no witness), kept in
+        its :class:`ProgramMemo`: candidate-execution construction is the
+        synthesis engine's hot loop (one Execution per witness per
+        relaxation)."""
+        memo = program_memo(self)
+        if memo.static_relations is not None:
+            return memo.static_relations
         from ..relational import TupleSet
 
         # One pass sorts the events into the unary sets; everything is
@@ -424,15 +425,24 @@ class Program:
                 names.RMW: TupleSet.pairs(self.rmw),
             }
         )
-        object.__setattr__(self, "_static_relations", static)
+        memo.static_relations = static
         return static
 
 
 class ProgramMemo:
-    """What every candidate execution of one program shares, memoized
-    once per program (see docs/ARCHITECTURE.md, "Per-execution
-    evaluation").
+    """Every cache derived from one program: what all its candidate
+    executions share, memoized once per program (see
+    docs/ARCHITECTURE.md, "Per-execution evaluation").
 
+    ``static_relations``
+        :meth:`Program.static_relations`.
+    ``rf_ptw``
+        :func:`repro.mtm.execution.derive_rf_ptw`.
+    ``removal_groups``
+        :func:`repro.synth.relax.removal_groups`.
+    ``symmetry``
+        :func:`repro.symmetry.program_symmetry`: generation-time pruning
+        computes it, and the program loop reads it.
     ``static``
         Values of the compiled axiom subterms that read program
         relations only (:mod:`repro.models.plan`), by global node id.
@@ -451,11 +461,15 @@ class ProgramMemo:
         check: each writer sequence's adjacent pairs and closure, and
         each checked co_pa choice (neither depends on the assignment).
 
-    Lives from a program's first execution until the program loop
-    finishes the program (:func:`release_program_memo`); never pickled.
+    Lives from the program's first derived value until the pass finishes
+    the program (:func:`release_program_memo`); never pickled.
     """
 
     __slots__ = (
+        "static_relations",
+        "rf_ptw",
+        "removal_groups",
+        "symmetry",
         "static",
         "views",
         "restrictions",
@@ -465,6 +479,10 @@ class ProgramMemo:
     )
 
     def __init__(self) -> None:
+        self.static_relations: Optional[dict] = None
+        self.rf_ptw: Optional[frozenset] = None
+        self.removal_groups: Optional[tuple] = None
+        self.symmetry = None
         self.static: dict = {}
         self.views: dict = {}
         self.restrictions: dict = {}
@@ -483,9 +501,9 @@ def program_memo(program: Program) -> ProgramMemo:
 
 
 def release_program_memo(program: Program) -> None:
-    """Drop the program's :class:`ProgramMemo`: called when a pass is
-    done with the program, so memos never outlive it on the programs a
-    result keeps."""
+    """Drop the program's :class:`ProgramMemo`, and with it every cache
+    derived from the program: called when a pass is done with the
+    program, so the programs a result keeps hold nothing derived."""
     program.__dict__.pop("_memo", None)
 
 

@@ -65,7 +65,15 @@ logger = logging.getLogger(__name__)
 #: metrics registries) — older pickles lack them, so they must miss.
 #: 4: integrity-checked entries (payload digests required in meta) and
 #: resilience fields on tasks/stats — undigested entries must miss.
-SCHEMA_VERSION = 4
+#: 5: ELTs keep their program and witness, not an execution, and
+#: ``SuiteStats`` lost ``orbit_replays`` — older pickles must miss.
+SCHEMA_VERSION = 5
+
+#: The schema of fuzz-run entries (:func:`repro.fuzz.fuzz_identity`).
+#: A fuzz result holds findings with their executions and no
+#: ``SuiteStats``, so schema 5 left its shape alone, and ``fuzz --json``,
+#: which echoes the identity, keeps its bytes.
+FUZZ_SCHEMA_VERSION = 4
 
 KIND_SUITE = "suite"
 # A differential-conformance cell (repro.conformance.ConformanceCell).

@@ -61,13 +61,11 @@ def render_symmetry_counters(stats) -> str:
     """The symmetry subsystem's counter table for one run's
     :class:`~repro.synth.SuiteStats`: how many programs admitted
     witness-orbit pruning, how many witnesses a representative stood in
-    for, and how many duplicate isomorphic programs were replayed from
-    the orbit cache instead of being translated (all deterministic for a
-    fixed configuration)."""
+    for, and how many lex-leader clauses the SAT backend emitted (all
+    deterministic for a fixed configuration)."""
     rows = [
         ("symmetric programs", stats.symmetric_programs),
         ("witnesses orbit-pruned", stats.orbit_witnesses_pruned),
-        ("program orbit replays", stats.orbit_replays),
         ("lex-leader clauses", stats.sat_symmetry_clauses),
     ]
     return render_table(["symmetry counter", "value"], rows)

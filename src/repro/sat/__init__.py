@@ -5,11 +5,9 @@ Public surface:
 * :class:`Cnf` — clause container with fresh-variable allocation.
 * :class:`CdclSolver` / :func:`solve_cnf` — complete CDCL search.
 * :func:`iter_models` / :func:`count_models` — AllSAT enumeration.
-* :func:`parse_dimacs` / :func:`dimacs_text` — DIMACS interchange.
 """
 
 from .cnf import Cnf
-from .dimacs import dimacs_text, parse_dimacs, read_dimacs, write_dimacs
 from .enumerate import count_models, iter_models
 from .reference import brute_force_count, brute_force_models, brute_force_satisfiable
 from .solver import (
@@ -37,10 +35,6 @@ __all__ = [
     "solve_cnf",
     "iter_models",
     "count_models",
-    "parse_dimacs",
-    "read_dimacs",
-    "write_dimacs",
-    "dimacs_text",
     "brute_force_models",
     "brute_force_satisfiable",
     "brute_force_count",

@@ -9,8 +9,8 @@ home for that machinery, layered bottom-up:
 
 * :func:`program_symmetry` (:mod:`.groups`) computes a program's
   symmetry facts in one pass over thread permutations: its canonical
-  class key, its identity-arrangement rank (the deterministic
-  representative order used by orbit-level dedup), and its automorphism
+  class key, its identity-arrangement rank (the deterministic order
+  that picks each class's representative program), and its automorphism
   group as concrete event bijections;
 * :func:`witness_sort_key`, :func:`witness_orbit` and
   :func:`prune_weighted` (:mod:`.witnesses`) quotient a program's

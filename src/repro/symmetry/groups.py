@@ -16,17 +16,17 @@ serialization *iff* that permutation induces an automorphism, and the
 two serializations' event-index maps compose into the concrete event
 bijection.  The same pass yields the canonical class key (minimum over
 all permutations) and the identity-arrangement key, which doubles as the
-deterministic *rank* orbit-level dedup uses to pick one representative
-program per isomorphism class no matter which class members a
-configuration happens to enumerate.
+deterministic *rank* representative selection uses to pick one program
+per isomorphism class no matter which class members a configuration
+happens to enumerate.
 
 ``co_pa`` caveat: witness-orbit pruning (and the lex-leader clauses built
 from these automorphisms) additionally requires the program's ``co_pa``
 space to be trivial — no two PTE writes sharing a target PA — because the
 explicit backend enumerates only a canonical ``co_pa`` completion, which
 is not automorphism-closed.  :attr:`ProgramSymmetry.prunable` folds that
-check in; programs failing it still get orbit-level (program) dedup, just
-not witness-level pruning.
+check in; programs failing it keep their class key and rank, but get no
+witness-level pruning.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional
 
-from ..mtm import EventKind, Program
+from ..mtm import EventKind, Program, program_memo
 from ..synth.canon import ProgramKey, _serialize
 
 
@@ -119,9 +119,10 @@ def _co_pa_trivial(program: Program) -> bool:
 
 
 def program_symmetry(program: Program) -> ProgramSymmetry:
-    """Compute :class:`ProgramSymmetry` for one program (memoized on the
-    program object — generation-time pruning and the engine pipelines
-    both need it, and one serialization pass serves both).
+    """Compute :class:`ProgramSymmetry` for one program, kept in its
+    :class:`~repro.mtm.program.ProgramMemo`: generation-time pruning and
+    the program loop both need it, and one serialization pass serves
+    both.
 
     Cost is one canonical serialization per thread permutation — the
     same work :func:`~repro.synth.canon.canonical_program_key` already
@@ -132,9 +133,9 @@ def program_symmetry(program: Program) -> ProgramSymmetry:
     faithful up to isomorphism — the property the canonical-key tests
     pin down).
     """
-    cached = program.__dict__.get("_symmetry_memo")
-    if cached is not None:
-        return cached
+    memo = program_memo(program)
+    if memo.symmetry is not None:
+        return memo.symmetry
     cores = range(program.num_cores)
     identity = tuple(cores)
     identity_key, identity_index, _ = _serialize(program, identity)
@@ -168,5 +169,5 @@ def program_symmetry(program: Program) -> ProgramSymmetry:
         co_pa_trivial=_co_pa_trivial(program),
         arrangement_canonical=arrangement_canonical,
     )
-    object.__setattr__(program, "_symmetry_memo", symmetry)
+    memo.symmetry = symmetry
     return symmetry

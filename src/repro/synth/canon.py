@@ -20,8 +20,8 @@ Three consumers share the serialization core:
 * :func:`identity_program_key` — the fixed-arrangement serialization,
   used as the deterministic *rank* that picks one representative program
   per isomorphism class (generation-time pruning keeps exactly the
-  generable member with the smallest identity key, and the orbit-level
-  dedup in :func:`repro.synth.engine.run_queries` re-derives that
+  generable member with the smallest identity key, and representative
+  selection in :func:`repro.synth.engine.run_queries` re-derives that
   choice when pruning is ablated);
 * :func:`repro.symmetry.program_symmetry` — reuses ``_serialize``'s
   per-permutation index maps to extract automorphism groups alongside

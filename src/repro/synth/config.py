@@ -31,9 +31,9 @@ class SynthesisConfig:
         isomorphism class); disabling it is the ablation of the Fig 9b
         discussion ("symmetry reduction enables synthesis ... within
         practical runtimes").  Output is identical either way: the
-        pipelines select class representatives by canonical rank, and
-        the orbit-level dedup of :mod:`repro.symmetry` skips duplicate
-        class members before translation when ``symmetry`` is on.
+        pipelines select class representatives by canonical rank, so
+        the duplicate class members the ablation lets through run in
+        full and lose to the canonical member.
     ``dirty_bit_as_rmw``
         Model dirty-bit updates as an RMW (read + write) instead of a
         single Write — the §III-A2 ablation; costs one extra instruction
@@ -66,10 +66,9 @@ class SynthesisConfig:
     witness_backend: str = "explicit"
     #: Symmetry-aware enumeration (:mod:`repro.symmetry`): per-program
     #: automorphism groups quotient the witness stream (one orbit
-    #: representative, orbit-size weights), the SAT backend emits static
-    #: lex-leader clauses so pruned witnesses are never even visited, and
-    #: duplicate isomorphic programs are skipped before translation
-    #: (orbit-level dedup).  Canonical suites and conformance matrices
+    #: representative, orbit-size weights), and the SAT backend emits
+    #: static lex-leader clauses so pruned witnesses are never even
+    #: visited.  Canonical suites and conformance matrices
     #: are byte-identical either way — ``--no-symmetry`` (False) is the
     #: differential oracle that runs the same pipelines unpruned.  It is
     #: an output-invariant execution strategy and is excluded from

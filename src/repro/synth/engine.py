@@ -26,19 +26,19 @@ every query reads its axiom verdicts from one shared
 (:func:`run_pipeline` with a :class:`ForbiddenQuery`); differential
 conformance (:mod:`repro.conformance`) runs one query per (reference,
 subject) pair over the same enumeration.  The loop owns what the
-queries share: deadline polls, program spans, symmetry analysis and
-orbit-cache replay, lazy keys and ranks, one minimality verdict per
-witness and judging model, representative selection, SAT-counter
-crediting and stage timing.  It also ends each program's memos
-(:func:`~repro.mtm.release_program_memo`) when it is done with the
-program, so the programs a result keeps hold none.
+queries share: deadline polls, program spans, symmetry analysis, lazy
+keys and ranks, one minimality verdict per witness and judging model,
+representative selection, SAT-counter crediting and stage timing.  It
+also ends each program's memo (:func:`~repro.mtm.release_program_memo`,
+every cache derived from the program) when it is done with the program,
+and each ELT keeps its program and witness, not an execution: a pass
+keeps only what it outputs.
 
 With ``config.symmetry`` (default on), :mod:`repro.symmetry` quotients
 the work first: each program's automorphism group prunes its witness
 stream to one representative per isomorphism orbit (in-solver, via
 lex-leader clauses, on the SAT backend), orbit-size weights keep the
-witness-level counters equal to the unpruned enumeration's, and
-duplicate isomorphic programs are skipped before translation.  The
+witness-level counters equal to the unpruned enumeration's.  The
 ``--no-symmetry`` oracle runs the same loop unpruned and must produce
 byte-identical suites.
 
@@ -104,17 +104,26 @@ OrderKey = tuple
 
 @dataclass
 class SynthesizedElt:
-    """One unique synthesized ELT: a program plus one representative
-    forbidden (minimal, interesting) execution.
+    """One unique synthesized ELT: a program plus the witness of one
+    representative forbidden (minimal, interesting) execution.
 
     The representative is selected order-free: the class member program
     with the smallest identity rank (``rep_rank``), and among its minimal
     forbidden witnesses the one minimizing ``(canonical execution key,
     witness sort key)`` — so the same bytes emerge from any enumeration
-    order, shard plan, witness backend, or symmetry setting."""
+    order, shard plan, witness backend, or symmetry setting.
+
+    The witness — ``rf``, ``co`` and ``co_pa``, as the representative
+    :class:`~repro.mtm.Execution` held them — determines the execution,
+    so nothing derived is kept: serialization and rendering
+    (:mod:`repro.litmus.format`) read the witness, and
+    :attr:`execution` rebuilds the execution for callers that need its
+    derived relations."""
 
     program: Program
-    execution: Execution
+    rf: frozenset
+    co: frozenset
+    co_pa: frozenset
     key: ProgramKey
     violated_axioms: tuple[str, ...]
     outcome_count: int = 1  # distinct forbidden minimal executions found
@@ -125,6 +134,12 @@ class SynthesizedElt:
     #: :func:`repro.symmetry.witness_sort_key` of the representative
     #: execution (witness tie-break within equal canonical keys).
     witness_rank: tuple = ()
+
+    @property
+    def execution(self) -> Execution:
+        """The representative execution, rebuilt from the witness (and
+        checked) on every read."""
+        return Execution(self.program, self.rf, self.co, self.co_pa)
 
 
 @dataclass
@@ -158,10 +173,6 @@ class SuiteStats:
     # oracle exactly; these record the pruning actually performed.
     #: Programs whose automorphism group admitted witness-orbit pruning.
     symmetric_programs: int = 0
-    #: Duplicate isomorphic programs skipped before translation
-    #: (orbit-level dedup; non-zero only when generation-time pruning is
-    #: ablated or cannot see a duplicate class).
-    orbit_replays: int = 0
     #: Witnesses never enumerated/classified because an orbit
     #: representative stood in for them (sum of ``weight - 1``).
     orbit_witnesses_pruned: int = 0
@@ -198,7 +209,6 @@ class SuiteStats:
         "sat_translations",
         "sat_translations_avoided",
         "symmetric_programs",
-        "orbit_replays",
         "orbit_witnesses_pruned",
         "sat_symmetry_clauses",
         "both_permit",
@@ -347,16 +357,6 @@ class ForbiddenQuery:
         return True
 
 
-#: The counters a query's ``observe`` moves: an orbit replay re-credits
-#: each query's deltas of these without enumerating.
-_OBSERVED = (
-    "interesting",
-    "both_permit",
-    "both_forbid",
-    "only_reference_forbids",
-    "only_subject_forbids",
-)
-
 #: Stages the witness session records while the loop is pulling
 #: witnesses; ``enumerate`` excludes them so the stages add up.
 _SESSION_STAGES = ("translate", "solve", "decode")
@@ -392,14 +392,13 @@ def run_queries(
     its class entry (:func:`_fold`).
 
     With ``config.symmetry``, each program's witness stream arrives
-    orbit-pruned and weighted (see :func:`witness_stream_factory`), and
-    duplicate isomorphic programs are skipped before translation: the
-    orbit cache remembers, per canonical class, the identity rank of the
-    member that already did the work this pass plus its weighted witness
-    count and every query's counter deltas, so a later member with a
-    larger rank only replays those.  A later member with a *smaller*
-    rank still runs in full — it must supply the class representative —
-    so output never depends on arrival order.
+    orbit-pruned and weighted (see :func:`witness_stream_factory`).
+    Every program the stream yields runs in full: isomorphic duplicates
+    reach the loop only when generation-time canonical pruning is
+    ablated, and then they are counted and compete for their class
+    entry like any member (:func:`_fold`), so output never depends on
+    arrival order.  The pass keeps nothing per program but the ELTs it
+    outputs.
 
     SAT counters are the shared enumeration's: the first query is
     credited with the translations actually run, every other query
@@ -423,10 +422,6 @@ def run_queries(
         (query, slots.setdefault(model_fingerprint(query.model), len(slots)), set())
         for query in queries
     ]
-    #: canonical program key -> (identity rank, weighted executions,
-    #: per-query deltas of the _OBSERVED counters) of the class member
-    #: that ran in full.
-    orbit_cache: dict = {}
     use_symmetry = config.symmetry
     evaluator = table.evaluator
     clock = time.perf_counter
@@ -461,32 +456,9 @@ def run_queries(
             )
             try:
                 sym = program_symmetry(program) if use_symmetry else None
-                if sym is not None:
-                    if sym.prunable:
-                        for outcome in outcomes:
-                            outcome.stats.symmetric_programs += 1
-                    record = orbit_cache.get(sym.canonical_key)
-                    if record is not None and record[0] < sym.identity_key:
-                        # Orbit-level dedup: a class member with a smaller
-                        # rank already ran in full this pass; replay its
-                        # totals and skip translation/enumeration entirely.
-                        for outcome, deltas in zip(outcomes, record[2]):
-                            stats = outcome.stats
-                            stats.orbit_replays += 1
-                            stats.executions_enumerated += record[1]
-                            for name, delta in zip(_OBSERVED, deltas):
-                                setattr(stats, name, getattr(stats, name) + delta)
-                        if span is not None:
-                            span.args["orbit_replay"] = True
-                        if registry:
-                            registry.observe(
-                                "pipeline.witnesses_per_program", record[1]
-                            )
-                        continue
-                before = [
-                    tuple(getattr(outcome.stats, name) for name in _OBSERVED)
-                    for outcome in outcomes
-                ]
+                if sym is not None and sym.prunable:
+                    for outcome in outcomes:
+                        outcome.stats.symmetric_programs += 1
                 program_executions = 0
                 #: Per query: this program's best minimal candidate
                 #: (execution key, witness rank, execution) and how many
@@ -601,21 +573,6 @@ def run_queries(
                 ):
                     timed_out = True
                     break
-                if sym is not None:
-                    record = orbit_cache.get(sym.canonical_key)
-                    if record is None or sym.identity_key < record[0]:
-                        deltas = tuple(
-                            tuple(
-                                getattr(outcome.stats, name) - start
-                                for name, start in zip(_OBSERVED, snapshot)
-                            )
-                            for outcome, snapshot in zip(outcomes, before)
-                        )
-                        orbit_cache[sym.canonical_key] = (
-                            sym.identity_key,
-                            program_executions,
-                            deltas,
-                        )
             except SolverInterrupted:
                 # The cooperative deadline cut a SAT query short mid-witness;
                 # the solver backtracked to level 0 first, so every result up
@@ -682,7 +639,9 @@ def _fold(query, order_key, program, program_key, rep_rank, candidate, new_keys)
             return
     outcome.by_key[program_key] = SynthesizedElt(
         program=program,
-        execution=execution,
+        rf=execution._rf,
+        co=execution.co,
+        co_pa=execution.co_pa,
         key=program_key,
         violated_axioms=query.model.check(execution).violated,
         outcome_count=new_keys if entry is None else entry.outcome_count,

@@ -115,7 +115,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from ..models import Evaluation, MemoryModel
-from ..mtm import EventKind, Execution, Program
+from ..mtm import EventKind, Execution, Program, program_memo
 from ..mtm.execution import derive_rf_ptw
 from ..obs import current_registry
 from .witnesses import enumerate_witnesses_constrained
@@ -126,15 +126,14 @@ Pair = tuple[str, str]
 def removal_groups(program: Program) -> tuple[frozenset[str], ...]:
     """All distinct closed removal groups, seeded at each non-ghost event.
 
-    Memoized on the program (every forbidden execution of a program is
-    checked against the same groups); :meth:`Program.__getstate__` strips
-    the memo.
+    Kept in the program's :class:`~repro.mtm.program.ProgramMemo`
+    (every forbidden execution of a program is checked against the same
+    groups).
     """
-    cached = program.__dict__.get("_removal_groups_memo")
-    if cached is None:
-        cached = _removal_groups_uncached(program)
-        object.__setattr__(program, "_removal_groups_memo", cached)
-    return cached
+    memo = program_memo(program)
+    if memo.removal_groups is None:
+        memo.removal_groups = _removal_groups_uncached(program)
+    return memo.removal_groups
 
 
 def _removal_groups_uncached(program: Program) -> tuple[frozenset[str], ...]:

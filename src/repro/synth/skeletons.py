@@ -512,7 +512,8 @@ def expand_skeletons(
                     if config.symmetry:
                         # One serialization pass serves both the
                         # arrangement check here and the engine's
-                        # orbit machinery (memoized on the program).
+                        # orbit machinery (kept in the program's memo
+                        # until the engine releases it).
                         if not program_symmetry(program).arrangement_canonical:
                             continue
                     elif not is_canonical_thread_order(program):

@@ -8,8 +8,9 @@ counters of :func:`repro.synth.engine.run_queries` for its three
 callers:
 
 * ``synthesize`` — the one-query case, with and without generation-time
-  pruning (the unpruned stream exercises orbit replays) and on the SAT
-  backend (session and solver counters);
+  pruning (the unpruned stream runs every isomorphic duplicate in full,
+  with the same suite) and on the SAT backend (session and solver
+  counters);
 * ``diff_models`` — one (reference, subject) query per run;
 * ``run_all_pairs`` — twenty fused queries over one enumeration: the
   lead pair is credited with the translations, every other pair counts
@@ -44,7 +45,6 @@ FIELDS = (
     "minimal",
     "only_reference_forbids",
     "only_subject_forbids",
-    "orbit_replays",
     "orbit_witnesses_pruned",
     "programs_enumerated",
     "sat_conflicts",
@@ -62,31 +62,31 @@ FIELDS = (
 
 # fmt: off
 PINS = {
-    "synthesize/invlpg@5/default": (0, 0, False, 86, 5, 4, 0, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
-    "synthesize/invlpg@5/no-canonical-pruning": (0, 0, False, 97, 6, 4, 0, 0, 6, 0, 49, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
-    "synthesize/invlpg@5/sat": (0, 0, False, 86, 5, 4, 0, 0, 0, 0, 43, 0, 43, 0, 253, 43, 0, 43, 0, 0, False, 3),
-    "diff/x86t_elt->x86t_amd_bug@5/explicit": (38, 47, False, 86, 1, 1, 1, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 1),
-    "diff/x86t_elt->x86t_amd_bug@5/sat": (38, 47, False, 86, 1, 1, 1, 0, 0, 0, 43, 0, 43, 0, 253, 43, 0, 43, 0, 0, False, 1),
-    "all-pairs@4/sat/sc->sc_t": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc->x86t_amd_bug": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc->x86t_elt": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc->x86tso": (4, 13, False, 19, 2, 0, 0, 2, 0, 0, 13, 0, 6, 0, 37, 13, 0, 13, 0, 0, False, 0),
-    "all-pairs@4/sat/sc_t->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/sc_t->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc_t->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/sc_t->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_amd_bug->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/x86t_amd_bug->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_amd_bug->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_amd_bug->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_elt->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/x86t_elt->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_elt->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86t_elt->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86tso->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
-    "all-pairs@4/sat/x86tso->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86tso->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
-    "all-pairs@4/sat/x86tso->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "synthesize/invlpg@5/default": (0, 0, False, 86, 5, 4, 0, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
+    "synthesize/invlpg@5/no-canonical-pruning": (0, 0, False, 97, 6, 4, 0, 0, 0, 49, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 3),
+    "synthesize/invlpg@5/sat": (0, 0, False, 86, 5, 4, 0, 0, 0, 43, 0, 43, 0, 253, 43, 0, 43, 0, 0, False, 3),
+    "diff/x86t_elt->x86t_amd_bug@5/explicit": (38, 47, False, 86, 1, 1, 1, 0, 0, 43, 0, 0, 0, 0, 0, 0, 0, 0, 0, False, 1),
+    "diff/x86t_elt->x86t_amd_bug@5/sat": (38, 47, False, 86, 1, 1, 1, 0, 0, 43, 0, 43, 0, 253, 43, 0, 43, 0, 0, False, 1),
+    "all-pairs@4/sat/sc->sc_t": (4, 13, False, 19, 2, 0, 0, 2, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc->x86t_amd_bug": (4, 13, False, 19, 2, 0, 0, 2, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc->x86t_elt": (4, 13, False, 19, 2, 0, 0, 2, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc->x86tso": (4, 13, False, 19, 2, 0, 0, 2, 0, 13, 0, 6, 0, 37, 13, 0, 13, 0, 0, False, 0),
+    "all-pairs@4/sat/sc_t->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/sc_t->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc_t->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/sc_t->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_amd_bug->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/x86t_amd_bug->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_amd_bug->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_amd_bug->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_elt->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/x86t_elt->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_elt->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86t_elt->x86tso": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86tso->sc": (4, 13, False, 19, 2, 2, 2, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 2),
+    "all-pairs@4/sat/x86tso->sc_t": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86tso->x86t_amd_bug": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
+    "all-pairs@4/sat/x86tso->x86t_elt": (6, 13, False, 19, 0, 0, 0, 0, 0, 13, 0, 6, 0, 37, 0, 0, 0, 13, 0, False, 0),
 }
 # fmt: on
 

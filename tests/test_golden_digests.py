@@ -23,8 +23,8 @@ What the digests encode:
   the same order-free selection, so its suite bytes are pinned once for
   *both* backends;
 * **symmetry invariance** — every digest is asserted with
-  ``symmetry=True`` (witness-orbit pruning + SAT lex-leader breaking +
-  orbit-level program dedup) and with the ``--no-symmetry`` oracle;
+  ``symmetry=True`` (witness-orbit pruning + SAT lex-leader breaking)
+  and with the ``--no-symmetry`` oracle;
   orbit pruning keeps exactly the witnesses the representative
   tie-break can select, so the bytes cannot depend on it;
 * **generation-pruning invariance** — the suites in which

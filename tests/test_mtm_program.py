@@ -289,3 +289,54 @@ class TestPickledPrograms:
                 assert restored.relations == fresh.relations
                 checked += 1
         assert checked > 50
+
+
+def _two_core_program() -> Program:
+    """Two identical cores, each writing x and reading it back."""
+    b = ProgramBuilder()
+    for core in (b.thread(), b.thread()):
+        core.write("x")
+        core.read("x")
+    return b.build()
+
+
+def _derive(cache: str):
+    """The function that derives (and memoizes) one per-program cache."""
+    from repro.mtm.execution import derive_rf_ptw
+    from repro.synth.relax import removal_groups
+    from repro.symmetry import program_symmetry  # after repro.synth
+
+    return {
+        "static_relations": Program.static_relations,
+        "rf_ptw": derive_rf_ptw,
+        "removal_groups": removal_groups,
+        "symmetry": program_symmetry,
+    }[cache]
+
+
+class TestProgramMemo:
+    @pytest.mark.parametrize(
+        "cache", ["static_relations", "rf_ptw", "removal_groups", "symmetry"]
+    )
+    def test_release_frees_the_derived_cache(self, cache: str) -> None:
+        """Each cache derived from a program is kept in its
+        ``ProgramMemo`` and nowhere else on the program: a second read
+        returns the memoized value, ``release_program_memo`` leaves the
+        program holding only what ``__getstate__`` keeps, and the next
+        read derives an equal value afresh."""
+        from repro.mtm.program import program_memo, release_program_memo
+
+        derive = _derive(cache)
+        program = _two_core_program()
+        kept = set(program.__getstate__())
+        assert set(program.__dict__) == kept
+        value = derive(program)
+        assert value
+        assert derive(program) is value
+        assert getattr(program_memo(program), cache) is value
+        assert set(program.__dict__) == kept | {"_memo"}
+        release_program_memo(program)
+        assert set(program.__dict__) == kept
+        again = derive(program)
+        assert again is not value
+        assert again == value

@@ -240,6 +240,61 @@ class TestResumableSweeps:
 
 
 class TestStaleEntries:
+    def test_entry_written_under_schema_4_misses(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """Under schema 4 a suite's ELTs kept whole executions.  Schema
+        5 keys its entries apart, so an entry written then is a plain
+        miss: the run recomputes the suite, and never unpickles the old
+        payload into the new ELT shape."""
+        from repro.orchestrate import store as store_module
+
+        config = config_for("invlpg")
+        store = SuiteStore(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "SCHEMA_VERSION", 4)
+            old_key = store_key(config_identity(config), KIND_SUITE)
+        store.put(old_key, "a schema-4 suite", {"kind": KIND_SUITE})
+        assert config_identity(config)["schema"] == 5
+
+        rerun = run_sharded(config, jobs=1, store=store)
+        assert not rerun.suite_cache_hit
+        assert (store.counters.hits, store.counters.corrupt) == (0, 0)
+        assert store.get(old_key) == "a schema-4 suite"  # left untouched
+        assert rerun.result.keys() == synthesize(config).keys()
+
+    def test_diff_cell_written_under_schema_4_misses(
+        self, tmp_path, monkeypatch
+    ) -> None:
+        """Diff cells hold ELTs too, so a cell cached under schema 4 is
+        a plain miss: the run recomputes it and leaves the old entry
+        alone."""
+        from repro.conformance import DiffConfig, diff_identity, run_diff
+        from repro.litmus import serialize_elt
+        from repro.models import x86t_amd_bug
+        from repro.orchestrate import store as store_module
+
+        diff = DiffConfig(
+            base=SynthesisConfig(bound=5, model=x86t_elt()),
+            subject=x86t_amd_bug(),
+        )
+        store = SuiteStore(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "SCHEMA_VERSION", 4)
+            old_key = store_key(diff_identity(diff), KIND_DIFF_CELL)
+        store.put(old_key, "a schema-4 cell", {"kind": KIND_DIFF_CELL})
+        assert diff_identity(diff)["schema"] == 5
+
+        rerun = run_diff(diff, store=store)
+        assert not rerun.cell_cache_hit
+        assert (store.counters.hits, store.counters.corrupt) == (0, 0)
+        assert store.get(old_key) == "a schema-4 cell"  # left untouched
+        fresh = run_diff(diff).cell
+        assert fresh.elts
+        assert [serialize_elt(elt) for elt in rerun.cell.elts] == [
+            serialize_elt(elt) for elt in fresh.elts
+        ]
+
     def test_entry_naming_a_deleted_class_is_quarantined_and_recomputed(
         self, tmp_path, monkeypatch
     ) -> None:

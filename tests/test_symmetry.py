@@ -320,9 +320,9 @@ class TestOracleEquivalence:
 
     def test_generation_pruning_ablation_replays_orbits(self) -> None:
         """With generation-time arrangement pruning ablated, duplicate
-        isomorphic programs reach the pipeline — and the orbit cache
-        must skip them before translation while reproducing the default
-        path's bytes."""
+        isomorphic programs reach the pipeline and run in full; the
+        canonical member still wins each class, so the default path's
+        bytes come out."""
         default = _suite_digest("invlpg", 5)
         ablated = synthesize(
             SynthesisConfig(
@@ -331,7 +331,8 @@ class TestOracleEquivalence:
         )
         text = suite_from_synthesis(ablated, prefix="invlpg").dumps()
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == default
-        assert ablated.stats.orbit_replays > 0
+        # The unablated pass enumerates 43 programs: duplicates arrived.
+        assert ablated.stats.programs_enumerated > 43
 
     def test_ablation_skips_translations_on_sat_backend(self) -> None:
         ablated = synthesize(
@@ -342,15 +343,18 @@ class TestOracleEquivalence:
                 witness_backend="sat",
             )
         )
+        # Every program is translated, the duplicates included (the
+        # unablated pass enumerates 43).
         assert (
             ablated.stats.sat_translations
-            == ablated.stats.programs_enumerated - ablated.stats.orbit_replays
+            == ablated.stats.programs_enumerated
+            > 43
         )
 
     def test_diff_ablation_replays_orbits(self) -> None:
-        """With generation pruning ablated, the fused diff pipeline must
-        replay duplicate classes from the orbit cache and still produce
-        the identical discriminating suite."""
+        """With generation pruning ablated, the fused diff pipeline runs
+        every duplicate class member in full and still produces the
+        identical discriminating suite."""
         from repro.conformance import DiffConfig, diff_models
 
         def cell(**kwargs):
@@ -364,9 +368,17 @@ class TestOracleEquivalence:
             )
 
         default = cell()
-        ablated = cell(canonical_pruning=False)
-        assert ablated.stats.orbit_replays > 0
-        assert suite_from_diff(ablated).dumps() == suite_from_diff(default).dumps()
+        for backend in ("explicit", "sat"):
+            ablated = cell(canonical_pruning=False, witness_backend=backend)
+            assert (
+                suite_from_diff(ablated).dumps() == suite_from_diff(default).dumps()
+            )
+        # The SAT pass translates every program it enumerates.
+        assert (
+            ablated.stats.sat_translations
+            == ablated.stats.programs_enumerated
+            > default.stats.programs_enumerated
+        )
 
     @pytest.mark.parametrize("backend", ["explicit", "sat"])
     def test_diff_cells_match_oracle(self, backend) -> None:
