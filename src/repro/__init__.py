@@ -44,44 +44,31 @@ Subpackages
 
 from __future__ import annotations
 
+from ._lazy import lazy_exports
+
 __version__ = "1.1.0"
 
-
-def __getattr__(name: str):
-    """Lazy re-exports of the headline API, so ``from repro import
-    ProgramBuilder, x86t_elt, synthesize`` works without importing every
-    subsystem at package-import time."""
-    surface = {
-        "ProgramBuilder": ("repro.mtm", "ProgramBuilder"),
-        "Program": ("repro.mtm", "Program"),
-        "Execution": ("repro.mtm", "Execution"),
-        "Event": ("repro.mtm", "Event"),
-        "EventKind": ("repro.mtm", "EventKind"),
-        "MemoryModel": ("repro.models", "MemoryModel"),
-        "x86tso": ("repro.models", "x86tso"),
-        "x86t_elt": ("repro.models", "x86t_elt"),
-        "sequential_consistency": ("repro.models", "sequential_consistency"),
-        "SynthesisConfig": ("repro.synth", "SynthesisConfig"),
-        "synthesize": ("repro.synth", "synthesize"),
-        "run_sharded": ("repro.orchestrate", "run_sharded"),
-        "run_sweep_sharded": ("repro.orchestrate", "run_sweep_sharded"),
-        "SuiteStore": ("repro.orchestrate", "SuiteStore"),
-        "DiffConfig": ("repro.conformance", "DiffConfig"),
-        "diff_models": ("repro.conformance", "diff_models"),
-        "run_diff": ("repro.conformance", "run_diff"),
-        "run_all_pairs": ("repro.conformance", "run_all_pairs"),
-        "ConformanceMatrix": ("repro.conformance", "ConformanceMatrix"),
-        "explore_program": ("repro.synth", "explore_program"),
-        "format_execution": ("repro.litmus", "format_execution"),
-        "parse_elt": ("repro.litmus", "parse_elt"),
-        "serialize_elt": ("repro.litmus", "serialize_elt"),
-    }
-    if name in surface:
-        import importlib
-
-        module_name, attribute = surface[name]
-        return getattr(importlib.import_module(module_name), attribute)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+# The headline API, loaded on first use, so ``from repro import
+# ProgramBuilder, x86t_elt, synthesize`` works without importing every
+# subsystem at package-import time.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "mtm": ("ProgramBuilder", "Program", "Execution", "Event", "EventKind"),
+        "models": ("MemoryModel", "x86tso", "x86t_elt", "sequential_consistency"),
+        "synth": ("SynthesisConfig", "synthesize", "explore_program"),
+        "orchestrate": ("run_sharded", "run_sweep_sharded", "SuiteStore"),
+        "conformance": (
+            "DiffConfig",
+            "diff_models",
+            "run_diff",
+            "run_all_pairs",
+            "ConformanceMatrix",
+        ),
+        "litmus": ("format_execution", "parse_elt", "serialize_elt"),
+    },
+)
 
 
 __all__ = [

@@ -25,10 +25,10 @@ the serial path's, byte for byte), and ``--cache-dir`` persists whole
 results (suites, diff cells, fuzz runs) and reuses them on reruns.
 
 Every subcommand exits 2 on a configuration error (a bad flag value,
-an unknown axiom) and 3 when a shard fails; a failed run prints and
-writes no result.  When the reader of stdout goes away (``... | head``)
-the CLI stops quietly with 141, the status of a process killed by
-SIGPIPE.
+an unknown axiom, an input file that does not parse) and 3 when a shard
+fails; a failed run prints and writes no result.  When the reader of
+stdout goes away (``... | head``) the CLI stops quietly with 141, the
+status of a process killed by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -40,17 +40,13 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from .errors import ShardFailure, SynthesisError
-from .litmus import format_execution, parse_elt
+# ``synthesize`` and ``diff`` print tables by default, so the table
+# renderers load with the CLI.  The handlers import each renderer
+# when they call it, which is where a patched renderer takes effect.
+from . import reporting  # noqa: F401
+from .errors import LitmusFormatError, ShardFailure, SynthesisError
+from .litmus import format_execution
 from .models import CATALOG, MemoryModel, x86t_elt
-from .reporting import (
-    comparison_corpus,
-    fig9_sweep,
-    render_comparison,
-    render_fig9a,
-    render_fig9b,
-    run_coatcheck_comparison,
-)
 from .synth import SynthesisConfig, synthesize
 
 MODELS = dict(CATALOG)
@@ -238,7 +234,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from .models import X86T_ELT_AXIOM_NAMES
-    from .reporting import resolve_max_bounds, resolve_sweep_budget
+    from .reporting import (
+        fig9_sweep,
+        render_fig9a,
+        render_fig9b,
+        resolve_max_bounds,
+        resolve_sweep_budget,
+    )
 
     store = _orchestration(args)
     for axiom in args.axiom or ():
@@ -320,6 +322,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .litmus import parse_elt
+
     model = _model(args.model)
     if args.file == "-":
         text = sys.stdin.read()
@@ -340,6 +344,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .reporting import (
+        comparison_corpus,
+        render_comparison,
+        run_coatcheck_comparison,
+    )
+
     corpus = comparison_corpus()
     report = run_coatcheck_comparison(corpus)
     print(render_comparison(report))
@@ -365,10 +375,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     if args.all_pairs:
         from .conformance import run_all_pairs
         from .models import catalog_models
-        from .reporting import (
-            render_conformance_matrix,
-            render_pair_cache_summary,
-        )
 
         models = catalog_models()
         base = SynthesisConfig(
@@ -399,6 +405,11 @@ def cmd_diff(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(matrix.to_json(), indent=2, sort_keys=True))
         else:
+            from .reporting import (
+                render_conformance_matrix,
+                render_pair_cache_summary,
+            )
+
             print(render_conformance_matrix(matrix, models=models))
             if store is not None:
                 print()
@@ -675,6 +686,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    from .litmus import parse_elt
     from .synth import explore_program
 
     model = _model(args.model)
@@ -971,8 +983,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except SynthesisError as error:
-        # A bad configuration is a usage error, like a bad flag value.
+    except (SynthesisError, LitmusFormatError) as error:
+        # A bad configuration or an input file that does not parse is a
+        # usage error, like a bad flag value.
         raise _usage_error(str(error)) from None
     except ShardFailure as error:
         print(f"error: {error}", file=sys.stderr)

@@ -10,6 +10,7 @@ Public surface:
 * :data:`X86T_ELT_AXIOM_NAMES` — Fig 9 axiom order.
 """
 
+from .._lazy import lazy_exports
 from .base import Axiom, MemoryModel, Verdict
 from .plan import Evaluation
 from .catalog import (
@@ -36,12 +37,19 @@ from .compare import (
     compare_models,
     discriminating_elts,
 )
-from .diagnostics import (
-    CycleExplanation,
-    LabeledEdge,
-    explain_axiom_violation,
-    explain_verdict,
-    render_explanations,
+# ``check --explain`` alone renders violations.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "diagnostics": (
+            "CycleExplanation",
+            "LabeledEdge",
+            "explain_axiom_violation",
+            "explain_verdict",
+            "render_explanations",
+        ),
+    },
 )
 
 __all__ = [

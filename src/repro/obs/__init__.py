@@ -30,17 +30,7 @@ from __future__ import annotations
 import time
 from typing import Any, Optional
 
-from .manifest import (
-    MANIFEST_KIND,
-    MANIFEST_SCHEMA,
-    build_manifest,
-    list_manifests,
-    load_manifest,
-    manifest_path,
-    sha256_digest,
-    store_manifest,
-    write_manifest,
-)
+from .._lazy import lazy_exports
 from .metrics import (
     NULL_REGISTRY,
     Histogram,
@@ -50,7 +40,6 @@ from .metrics import (
     install_registry,
     registry_from_suite_stats,
 )
-from .progress import ProgressReporter, progress_enabled
 from .trace import (
     NULL_TRACER,
     NullTracer,
@@ -60,11 +49,32 @@ from .trace import (
     current_tracer,
     install_tracer,
 )
-from .export import (
-    chrome_trace,
-    jsonl_records,
-    validate_chrome_trace,
-    write_trace,
+
+# The hot path records through ``metrics`` and ``trace``; manifests,
+# exporters and the progress line load on first use.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "manifest": (
+            "MANIFEST_KIND",
+            "MANIFEST_SCHEMA",
+            "build_manifest",
+            "list_manifests",
+            "load_manifest",
+            "manifest_path",
+            "sha256_digest",
+            "store_manifest",
+            "write_manifest",
+        ),
+        "progress": ("ProgressReporter", "progress_enabled"),
+        "export": (
+            "chrome_trace",
+            "jsonl_records",
+            "validate_chrome_trace",
+            "write_trace",
+        ),
+    },
 )
 
 __all__ = [
@@ -164,6 +174,10 @@ class Observation:
         manifest copy.  Returns the manifest, or None when disabled."""
         if not self.enabled:
             return None
+        # Lazy exports of this package: not globals here until read.
+        from .export import write_trace
+        from .manifest import build_manifest, store_manifest
+
         stage_times: dict[str, float] = {}
         if stats is not None:
             self.registry.absorb(registry_from_suite_stats(stats))

@@ -20,7 +20,6 @@ renders them back.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -34,6 +33,9 @@ MANIFESTS_DIR = "manifests"
 
 def sha256_digest(path: Union[str, Path]) -> Optional[str]:
     """Hex SHA-256 of a file's bytes (None when unreadable)."""
+    # Imported here: hashlib loads OpenSSL, which only digests need.
+    import hashlib
+
     digest = hashlib.sha256()
     try:
         with open(path, "rb") as handle:

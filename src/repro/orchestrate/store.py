@@ -41,7 +41,6 @@ leaves a half-written entry; timed-out results are **never** stored
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -113,6 +112,9 @@ def config_identity(config: SynthesisConfig) -> dict[str, Any]:
 def identity_key(identity: dict[str, Any]) -> str:
     """Content-address an arbitrary JSON-safe identity dict (the raw
     primitive behind :func:`store_key`)."""
+    # Imported here: hashlib loads OpenSSL, which only digests need.
+    import hashlib
+
     rendered = json.dumps(identity, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()[:32]
 
@@ -124,6 +126,8 @@ def store_key(identity: dict[str, Any], kind: str) -> str:
 
 def payload_digest(data: bytes) -> str:
     """The store's payload digest: blake2b-256 hex."""
+    import hashlib
+
     return hashlib.blake2b(data, digest_size=32).hexdigest()
 
 

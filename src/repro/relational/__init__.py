@@ -10,6 +10,7 @@ Public surface:
 * :class:`Problem` — declare bounds, constrain, solve/enumerate via SAT.
 """
 
+from .._lazy import lazy_exports
 from .ast import (
     And,
     Closure,
@@ -48,20 +49,19 @@ from .ast import (
     subset,
 )
 from .instance import Instance
-from .eval import eval_expr, eval_formula
 from .tuples import TupleSet
 
-
-def __getattr__(name: str):
-    """Lazy re-exports of the SAT-backed problem API, so importing the
-    relational vocabulary (:class:`TupleSet`, the AST) does not load
-    the translator or the SAT solver."""
-    if name in ("Problem", "ProblemSession", "RelationBound"):
-        from . import translate
-
-        return getattr(translate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+# The SAT-backed problem API and the reference evaluator load on first
+# use, so importing the relational vocabulary (:class:`TupleSet`, the
+# AST) loads neither the translator nor the SAT solver.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "translate": ("Problem", "ProblemSession", "RelationBound"),
+        "eval": ("eval_expr", "eval_formula"),
+    },
+)
 
 __all__ = [
     "TupleSet",

@@ -14,13 +14,16 @@
 
 from __future__ import annotations
 
+from .._lazy import lazy_exports
 from .deadline import (
     current_deadline,
     deadline_exceeded,
     deadline_scope,
     install_deadline,
 )
-from .lock import FileLock
+
+# Only the suite store takes the lock.
+__getattr__, __dir__ = lazy_exports(__name__, globals(), {"lock": ("FileLock",)})
 
 __all__ = [
     "FileLock",

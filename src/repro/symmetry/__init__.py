@@ -33,13 +33,18 @@ terms of :func:`witness_sort_key`, the same total order the lex-leader
 clauses enforce.
 """
 
+from .._lazy import lazy_exports
 from .groups import ProgramSymmetry, execution_key_via, program_symmetry
-from .lex import witness_relation_permutation
 from .witnesses import (
     apply_automorphism,
     prune_weighted,
     witness_orbit,
     witness_sort_key,
+)
+
+# Only the SAT backend compiles lex-leader clauses.
+__getattr__, __dir__ = lazy_exports(
+    __name__, globals(), {"lex": ("witness_relation_permutation",)}
 )
 
 __all__ = [

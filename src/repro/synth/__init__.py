@@ -11,53 +11,54 @@ Public surface:
   deduplication.
 """
 
-from .canon import (
-    canonical_execution_key,
-    canonical_program_key,
-    is_canonical_thread_order,
-)
-from .config import SynthesisConfig
-from .explore import Outcome, ProgramExploration, explore_program
-from .engine import (
-    PipelineOutcome,
-    SuiteResult,
-    SuiteStats,
-    SweepPoint,
-    SweepResult,
-    SynthesizedElt,
-    default_config,
-    finalize_result,
-    run_pipeline,
-    synthesize,
-    synthesize_sweep,
-    witness_stream_factory,
-)
-from .relax import (
-    is_minimal,
-    relaxation_becomes_permitted,
-    relaxations,
-    relaxed_program,
-    removal_groups,
-    without_rmw_pair,
-)
-from .skeletons import (
-    enumerate_programs,
-    enumerate_programs_with_order,
-    enumerate_skeletons,
-    program_cost,
-)
-from .witnesses import enumerate_witnesses, enumerate_witnesses_constrained
+from .._lazy import lazy_exports
 
-
-def __getattr__(name: str):
-    """Lazy re-exports of the SAT witness backend, so the explicit path
-    does not load the relational translator or the SAT solver."""
-    if name == "WitnessSession":
-        from . import sat_backend
-
-        return getattr(sat_backend, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+# Every name loads on first use.  Importing one submodule therefore
+# runs none of the others: :mod:`repro.symmetry` imports ``canon`` while
+# ``engine``, which imports :mod:`repro.symmetry`, is not loaded yet.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "canon": (
+            "canonical_execution_key",
+            "canonical_program_key",
+            "is_canonical_thread_order",
+        ),
+        "config": ("SynthesisConfig",),
+        "explore": ("Outcome", "ProgramExploration", "explore_program"),
+        "engine": (
+            "PipelineOutcome",
+            "SuiteResult",
+            "SuiteStats",
+            "SweepPoint",
+            "SweepResult",
+            "SynthesizedElt",
+            "default_config",
+            "finalize_result",
+            "run_pipeline",
+            "synthesize",
+            "synthesize_sweep",
+            "witness_stream_factory",
+        ),
+        "relax": (
+            "is_minimal",
+            "relaxation_becomes_permitted",
+            "relaxations",
+            "relaxed_program",
+            "removal_groups",
+            "without_rmw_pair",
+        ),
+        "skeletons": (
+            "enumerate_programs",
+            "enumerate_programs_with_order",
+            "enumerate_skeletons",
+            "program_cost",
+        ),
+        "witnesses": ("enumerate_witnesses", "enumerate_witnesses_constrained"),
+        "sat_backend": ("WitnessSession",),
+    },
+)
 
 __all__ = [
     "SynthesisConfig",

@@ -139,6 +139,21 @@ class TestCheckCommand:
         assert "-[" in out
 
 
+class TestUnparsableInput:
+    """A file that is not one ELT is a usage error (exit 2), which a
+    script can tell from ``check``'s forbidden verdict (exit 1)."""
+
+    @pytest.mark.parametrize("command", [["check", "--explain"], ["explore"]])
+    def test_suite_file_is_a_usage_error(self, command, capsys) -> None:
+        suite = Path(__file__).parents[1] / "corpus" / "a597de60c0bce370.elts"
+        with pytest.raises(SystemExit) as raised:
+            main(command + [str(suite)])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ELT text must start with an 'elt' line\n"
+
+
 class TestParser:
     def test_requires_subcommand(self) -> None:
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.synth
 
 
 def test_version() -> None:
@@ -57,17 +59,153 @@ HEAVY_MODULES = (
     "repro.synth.sat_backend",
     "repro.resilience.scheduler",
     "concurrent.futures",
+    # OpenSSL, which only digests need.
+    "hashlib",
+    "_hashlib",
+    # Modules that serve only other subcommands or flags.
+    "repro.litmus.classics",
+    "repro.litmus.coatcheck",
+    "repro.litmus.compare",
+    "repro.litmus.figures",
+    "repro.litmus.parser",
+    "repro.litmus.suitefile",
+    "repro.models.diagnostics",
+    "repro.obs.export",
+    "repro.obs.manifest",
+    "repro.obs.progress",
+    "repro.relational.eval",
+    "repro.reporting.conformance",
+    "repro.reporting.experiments",
+    "repro.reporting.figures",
+    "repro.reporting.orchestration",
+    "repro.resilience.lock",
+    "repro.symmetry.lex",
+    "repro.synth.explore",
 )
 
 #: Lazily re-exported names, by package.
 LAZY_NAMES = {
-    "repro.relational": ("Problem", "ProblemSession", "RelationBound"),
-    "repro.synth": ("WitnessSession",),
+    "repro": tuple(sorted(set(repro.__all__) - {"__version__"})),
+    "repro.litmus": (
+        "ALL_CLASSICS",
+        "SC_VERDICTS",
+        "TSO_VERDICTS",
+        "CoatCheckTest",
+        "coatcheck_suite",
+        "Category",
+        "Classification",
+        "ComparisonReport",
+        "classify_test",
+        "compare_suite",
+        "ALL_FIGURES",
+        "PaperExample",
+        "parse_elt",
+        "EltSuite",
+        "SuiteEntry",
+        "suite_from_diff",
+        "suite_from_fuzz",
+        "suite_from_synthesis",
+    ),
+    "repro.models": (
+        "CycleExplanation",
+        "LabeledEdge",
+        "explain_axiom_violation",
+        "explain_verdict",
+        "render_explanations",
+    ),
+    "repro.obs": (
+        "MANIFEST_KIND",
+        "MANIFEST_SCHEMA",
+        "build_manifest",
+        "list_manifests",
+        "load_manifest",
+        "manifest_path",
+        "sha256_digest",
+        "store_manifest",
+        "write_manifest",
+        "ProgressReporter",
+        "progress_enabled",
+        "chrome_trace",
+        "jsonl_records",
+        "validate_chrome_trace",
+        "write_trace",
+    ),
+    "repro.relational": (
+        "Problem",
+        "ProblemSession",
+        "RelationBound",
+        "eval_expr",
+        "eval_formula",
+    ),
+    "repro.reporting": (
+        "DEFAULT_CORPUS_BOUNDS",
+        "DEFAULT_MAX_BOUNDS",
+        "comparison_corpus",
+        "fig9_sweep",
+        "render_comparison",
+        "render_fig9a",
+        "render_fig9b",
+        "resolve_max_bounds",
+        "resolve_sweep_budget",
+        "run_coatcheck_comparison",
+        "tlb_causality_attribution",
+        "amd_bug_case_study",
+        "render_amd_bug_report",
+        "render_conformance_cell",
+        "render_conformance_matrix",
+        "render_pair_cache_summary",
+        "render_log_plot",
+        "render_shard_runtimes",
+        "render_sweep_cache_summary",
+    ),
+    "repro.resilience": ("FileLock",),
+    "repro.symmetry": ("witness_relation_permutation",),
+    # Every name: importing one submodule runs none of the others.
+    "repro.synth": tuple(sorted(repro.synth.__all__)),
 }
+
+#: Submodules each facade re-exports lazily: importing the facade
+#: must not load them.
+LAZY_SUBMODULES = {
+    "repro": ("conformance", "litmus", "models", "mtm", "orchestrate", "synth"),
+    "repro.litmus": (
+        "classics",
+        "coatcheck",
+        "compare",
+        "figures",
+        "parser",
+        "suitefile",
+    ),
+    "repro.models": ("diagnostics",),
+    "repro.obs": ("export", "manifest", "progress"),
+    "repro.relational": ("eval", "translate"),
+    "repro.reporting": ("conformance", "experiments", "figures", "orchestration"),
+    "repro.resilience": ("lock",),
+    "repro.symmetry": ("lex",),
+    "repro.synth": tuple(
+        info.name for info in pkgutil.iter_modules(repro.synth.__path__)
+    ),
+}
+
+#: Every package, and the one module that once could not be the first
+#: ``repro`` import of a process: ``repro.symmetry.groups`` imports
+#: ``repro.synth.canon``, whose package then loaded the engine, which
+#: imports the half-built ``repro.symmetry``.
+FIRST_IMPORTS = (
+    "repro",
+    *(
+        f"repro.{info.name}"
+        for info in pkgutil.iter_modules(repro.__path__)
+        if info.ispkg
+    ),
+    "repro.symmetry.groups",
+)
 
 #: Modules only a worker pool needs: a serial sharded run (inline
 #: ``--cache-dir``, ``fuzz --jobs 1``) must not load them.
 POOL_MODULES = ("concurrent.futures", "multiprocessing")
+
+SRC = Path(repro.__file__).parents[1]
 
 
 def _loaded_after(statement: str, modules) -> list:
@@ -77,7 +215,7 @@ def _loaded_after(statement: str, modules) -> list:
         f"import json, sys; {statement}; "
         f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     completed = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
@@ -87,6 +225,125 @@ def _loaded_after(statement: str, modules) -> list:
 
 def test_cli_import_leaves_the_heavy_modules_unloaded() -> None:
     assert _loaded_after("import repro.cli", HEAVY_MODULES) == []
+
+
+@pytest.mark.parametrize("module", FIRST_IMPORTS)
+def test_first_import_of_a_fresh_interpreter(module: str) -> None:
+    lazy = [f"{module}.{name}" for name in LAZY_SUBMODULES.get(module, ())]
+    assert _loaded_after(f"import {module}", lazy) == []
+
+
+def _run_cli(argv, cwd: Path, *options: str) -> subprocess.CompletedProcess:
+    """``python [options] -m repro.cli argv`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *options, "-m", "repro.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+#: Default synthesis and diff runs, with their exit status and how many
+#: processes import the package (the run and its pool workers).  They
+#: take no digest, so none of those processes may load OpenSSL.
+DIGEST_FREE_RUNS = {
+    "synthesize": (("synthesize", "--bound", "5"), 0, 1),
+    "synthesize-mcm-sat": (
+        (
+            "synthesize",
+            "--bound",
+            "4",
+            "--mcm",
+            "--threads",
+            "3",
+            "--witness-backend",
+            "sat",
+        ),
+        0,
+        1,
+    ),
+    "diff-all-pairs": (("diff", "--all-pairs", "--bound", "5", "--json"), 1, 1),
+    "diff-all-pairs-jobs-2": (
+        ("diff", "--all-pairs", "--bound", "5", "--json", "--jobs", "2"),
+        1,
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, status, processes",
+    DIGEST_FREE_RUNS.values(),
+    ids=list(DIGEST_FREE_RUNS),
+)
+def test_default_runs_leave_openssl_unloaded(
+    argv, status: int, processes: int, tmp_path: Path
+) -> None:
+    # ``-X importtime`` logs every import to stderr, and spawned pool
+    # workers inherit the option and the stream.
+    completed = _run_cli(argv, tmp_path, "-X", "importtime")
+    assert completed.returncode == status, completed.stderr[-2000:]
+    imported = [
+        line.rpartition("|")[2].strip()
+        for line in completed.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert imported.count("repro.synth.engine") == processes
+    assert not set(imported) & {"hashlib", "_hashlib"}
+
+
+PTWALK2_ELT = "elt\nmap x pa_a\nthread 0\n  wpte x pa_b\n  ipi 0\n  r x miss\n"
+
+#: Paths that load their modules on first use: the arguments (``{tmp}``
+#: is a scratch directory, ``{elt}`` a one-ELT file, ``{store}`` a cache
+#: directory holding a traced run's manifest), the exit status, and a
+#: line the run prints.
+LAZY_PATHS = {
+    "synthesize --trace": (
+        "synthesize --bound 4 --trace {tmp}/trace.json",
+        0,
+        "unique ELTs",
+    ),
+    "synthesize --profile": ("synthesize --bound 4 --profile", 0, '"stages"'),
+    "synthesize --cache-dir": (
+        "synthesize --bound 4 --cache-dir {tmp}/cache",
+        0,
+        "suite_hit=False",
+    ),
+    "stats --cache-dir": ("stats --cache-dir {store}", 0, "run manifests"),
+    "check --explain": ("check --explain {elt}", 1, "invlpg cycle:"),
+    "explore": ("explore {elt} --verbose", 0, "candidate executions"),
+    "compare": ("compare", 0, "COATCheck"),
+    "sweep": ("sweep --max-bound 4", 0, "Fig 9a"),
+}
+
+
+@pytest.mark.parametrize(
+    "template, status, shows", LAZY_PATHS.values(), ids=list(LAZY_PATHS)
+)
+def test_lazy_path_runs_in_a_fresh_interpreter(
+    template: str, status: int, shows: str, tmp_path: Path
+) -> None:
+    """Each path runs in its own interpreter, so no other path has
+    loaded a module it reads as a global."""
+    paths = {
+        "tmp": tmp_path,
+        "elt": tmp_path / "ptwalk2.elt",
+        "store": tmp_path / "store",
+    }
+    paths["elt"].write_text(PTWALK2_ELT)
+    if "{store}" in template:
+        from repro.cli import main
+
+        traced = ["synthesize", "--bound", "4", "--trace", str(tmp_path / "t.json")]
+        assert main(traced + ["--cache-dir", str(paths["store"])]) == 0
+    argv = [token.format(**paths) for token in template.split()]
+    completed = _run_cli(argv, tmp_path)
+    assert completed.returncode == status, completed.stderr[-2000:]
+    assert "Traceback" not in completed.stderr
+    assert shows in completed.stdout
 
 
 def test_orchestration_import_leaves_the_pool_modules_unloaded() -> None:
@@ -220,7 +477,18 @@ def test_sharded_entry_points_take_no_retry_or_fault_plan(
 def test_lazy_names_resolve(package: str, name: str) -> None:
     module = importlib.import_module(package)
     assert name in module.__all__
-    assert getattr(module, name) is not None
+    value = getattr(module, name)
+    assert value is not None
+    # The first read caches the name in the facade's globals.
+    assert vars(module)[name] is value
+    assert name in dir(module)
+
+
+@pytest.mark.parametrize("package", sorted(LAZY_NAMES))
+def test_star_import_binds_every_exported_name(package: str) -> None:
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    assert set(importlib.import_module(package).__all__) <= set(namespace)
 
 
 @pytest.mark.parametrize("package", sorted(LAZY_NAMES))

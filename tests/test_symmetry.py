@@ -318,7 +318,7 @@ class TestOracleEquivalence:
         ):
             assert getattr(on.stats, name) == getattr(off.stats, name), name
 
-    def test_generation_pruning_ablation_replays_orbits(self) -> None:
+    def test_generation_pruning_ablation_runs_every_program(self) -> None:
         """With generation-time arrangement pruning ablated, duplicate
         isomorphic programs reach the pipeline and run in full; the
         canonical member still wins each class, so the default path's
@@ -334,7 +334,7 @@ class TestOracleEquivalence:
         # The unablated pass enumerates 43 programs: duplicates arrived.
         assert ablated.stats.programs_enumerated > 43
 
-    def test_ablation_skips_translations_on_sat_backend(self) -> None:
+    def test_ablation_translates_every_program_on_sat_backend(self) -> None:
         ablated = synthesize(
             SynthesisConfig(
                 bound=5,
@@ -351,7 +351,7 @@ class TestOracleEquivalence:
             > 43
         )
 
-    def test_diff_ablation_replays_orbits(self) -> None:
+    def test_diff_ablation_runs_every_program(self) -> None:
         """With generation pruning ablated, the fused diff pipeline runs
         every duplicate class member in full and still produces the
         identical discriminating suite."""
